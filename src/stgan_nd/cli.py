@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from . import blas
 from .data import Standardizer, load_dataset, save_dataset
 from .errors import DataError, NumericError, ShapeError, SpecError, StateError
 from .evaluate import write_roc_csv
@@ -33,6 +34,8 @@ from .rng import substream
 from .synth import SynthSpec, make_synthetic_dataset
 
 ENV_SEED = "STGAN_ND_SEED"
+# manifest key of the run environment; replay ignores it
+ENVIRONMENT = "environment"
 
 
 class _CliError(SpecError):
@@ -44,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
     # for numeric divergence, so route usage errors through exit code 1
     def error(self, message):
         raise _CliError(message)
+
+
+_CONFIG_FIELDS = (
+    "dataset", "channels", "synth", "novel_classes", "variant",
+    "target_gca", "gan", "baseline", "seed",
+)
 
 
 @dataclass
@@ -63,17 +72,49 @@ class RunConfig:
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "RunConfig":
-        fields = {k: payload[k] for k in (
-            "dataset", "channels", "synth", "novel_classes", "variant",
-            "target_gca", "gan", "baseline", "seed",
-        )}
-        return cls(**fields)
+        if not isinstance(payload, dict):
+            raise DataError("a manifest must be a JSON object")
+        missing = [k for k in _CONFIG_FIELDS if k not in payload]
+        if missing:
+            raise DataError(f"manifest lacks {', '.join(missing)}")
+        config = cls(**{k: payload[k] for k in _CONFIG_FIELDS})
+        try:
+            config.gan_config()
+            config.baseline_config()
+        except TypeError as exc:
+            raise DataError(f"manifest has a bad training config: {exc}") from None
+        return config
 
     def gan_config(self) -> GanConfig:
         return GanConfig(**self.gan)
 
     def baseline_config(self) -> BaselineConfig:
         return BaselineConfig(**self.baseline)
+
+
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _write_manifest(config: RunConfig, out: Path) -> None:
+    payload = {**config.to_manifest(), ENVIRONMENT: blas.environment()}
+    (out / "manifest.json").write_text(json.dumps(payload, indent=1))
+
+
+def _same_config(manifest: Path, config: RunConfig) -> bool:
+    """Whether ``manifest`` was written for exactly ``config``."""
+    try:
+        stored = json.loads(manifest.read_text())
+    except (OSError, ValueError):
+        return False
+    if isinstance(stored, dict):
+        stored.pop(ENVIRONMENT, None)
+    return stored == json.loads(json.dumps(config.to_manifest()))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -234,7 +275,7 @@ def _write_preprocessing(prep: PreparedData, out: Path) -> None:
 
 def _train_run(config: RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(json.dumps(config.to_manifest(), indent=1))
+    _write_manifest(config, out)
     prep = _prepare(config)
     model = train_variant(
         prep, config.variant, config.gan_config(), config.baseline_config(),
@@ -282,8 +323,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        payload = json.loads(Path(args.manifest).read_text())
-        config = RunConfig.from_manifest(payload)
+        config = RunConfig.from_manifest(_read_json(Path(args.manifest), "manifest"))
     else:
         config = _run_config_from_args(args)
     _train_run(config, Path(args.out))
@@ -306,7 +346,7 @@ def cmd_distances(args) -> int:
         print("warning: no --model given; GAN column omitted", file=sys.stderr)
     report = distance_tables(prep, generator, config.seed, args.n_generated)
     report.to_csv(out / "distances.csv")
-    (out / "manifest.json").write_text(json.dumps(config.to_manifest(), indent=1))
+    _write_manifest(config, out)
     print(f"distance table written to {out / 'distances.csv'}")
     return 0
 
@@ -317,7 +357,8 @@ def _evaluate_one(payload) -> dict:
     config.variant = variant
     out = Path(out_dir)
     model_path = out / "discriminator.json"
-    if not model_path.exists():
+    # reuse a trained model only if it was trained for this very configuration
+    if not (model_path.exists() and _same_config(out / "manifest.json", config)):
         _train_run(config, out)
     net, _, _ = load_checkpoint(model_path)
     prep = _prepare(config)
@@ -350,7 +391,7 @@ def cmd_evaluate(args) -> int:
 
     _write_accuracy_csv(results, config.target_gca, out / "accuracy.csv")
     (out / "report.json").write_text(json.dumps(results, indent=1))
-    (out / "manifest.json").write_text(json.dumps(config.to_manifest(), indent=1))
+    _write_manifest(config, out)
     for result in results:
         print(f"{result['variant']}: AUC={result['auc']:.3f}")
     print(f"evaluation written to {out}")
@@ -394,8 +435,11 @@ def cmd_generate(args) -> int:
     if not gen_path.exists():
         raise DataError(f"no generator checkpoint in {model}")
     generator, _, _ = load_checkpoint(gen_path)
-    payload = json.loads((model / "preprocessing.json").read_text())
-    standardizer = Standardizer.from_dict(payload["standardizer"])
+    payload = _read_json(model / "preprocessing.json", "preprocessing file")
+    try:
+        standardizer = Standardizer.from_dict(payload["standardizer"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad preprocessing file in {model}: {exc!r}") from None
     seed = args.seed if args.seed is not None else _default_seed()
     rng = substream(seed, "generate")
     target = args.class_index if args.target is None else _parse_float_list(args.target)

@@ -9,24 +9,12 @@ whose peak value is drawn fresh from a uniform range.
 from __future__ import annotations
 
 import csv
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
-
-
-def _single_thread_blas():
-    # the training matmuls are tiny; multithreaded BLAS only adds contention
-    if threadpool_limits is None:
-        return nullcontext()
-    return threadpool_limits(limits=1, user_api="blas")
-
+from .blas import single_thread as _single_thread_blas
 from .data import one_hot_batch, stochastic_target_batch
 from .errors import NumericError, ShapeError, SpecError
 from .nn import (
@@ -297,7 +285,7 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     total = composite_loss(
         validity_loss, class_loss, config.g_validity_weight, config.g_class_weight
     )
-    disc_grads = disc.backward(disc_cache, total.gradient)
+    disc_grads = disc.backward(disc_cache, total.gradient, input_only=True)
     gen_grads = bundle.generator.backward(gen_cache, [disc_grads.inputs[0]])
     adam_step(bundle.adam_g, [bundle.generator.flat_parameters()], [gen_grads.flat()])
     return {

@@ -2,7 +2,9 @@
 
 Forward returns ``(output, cache)``; backward consumes the cache and the
 upstream gradient and returns ``(input_gradient, parameter_gradients)``.
-Parameter gradients follow the order of ``parameters()``.
+Parameter gradients follow the order of ``parameters()``. Backward writes
+them into ``out`` (arrays shaped like the parameters) when it is given;
+``input_only=True`` skips them and returns an empty list.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class Layer:
     def forward(self, x, mode, rng=None, update_stats=True):
         raise NotImplementedError
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         raise NotImplementedError
 
     def _check_width(self, x: np.ndarray) -> None:
@@ -63,11 +65,14 @@ class Dense(Layer):
         self._check_width(x)
         return x @ self.weight + self.bias, x
 
-    def backward(self, cache, grad):
-        x = cache
-        grad_w = x.T @ grad
-        grad_b = grad.sum(axis=0)
-        return grad @ self.weight.T, [grad_w, grad_b]
+    def backward(self, cache, grad, out=None, input_only=False):
+        grad_x = grad @ self.weight.T
+        if input_only:
+            return grad_x, []
+        grad_w, grad_b = out if out is not None else (None, None)
+        grad_w = np.matmul(cache.T, grad, out=grad_w)
+        grad_b = np.sum(grad, axis=0, out=grad_b)
+        return grad_x, [grad_w, grad_b]
 
 
 class _Elementwise(Layer):
@@ -86,7 +91,7 @@ class ReLU(_Elementwise):
         mask = x > 0.0
         return x * mask, mask
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         return grad * cache, []
 
 
@@ -102,7 +107,7 @@ class Sigmoid(_Elementwise):
         out[~pos] = ex / (1.0 + ex)
         return out, out
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         y = cache
         return grad * y * (1.0 - y), []
 
@@ -117,7 +122,7 @@ class Softmax(_Elementwise):
         y = e / e.sum(axis=1, keepdims=True)
         return y, y
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         y = cache
         inner = (grad * y).sum(axis=1, keepdims=True)
         return y * (grad - inner), []
@@ -130,7 +135,7 @@ class Linear(_Elementwise):
         self._check_width(x)
         return x, None
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         return grad, []
 
 
@@ -149,7 +154,7 @@ class GaussianNoise(_Elementwise):
         # additive noise: gradient w.r.t. the input is the identity
         return x + self.stddev * rng.standard_normal(x.shape), None
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         return grad, []
 
 
@@ -170,7 +175,7 @@ class Dropout(_Elementwise):
         mask = (rng.random(x.shape) >= self.rate) / keep
         return x * mask, mask
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         if cache is None:
             return grad, []
         return grad * cache, []
@@ -211,17 +216,19 @@ class BatchNorm(_Elementwise):
             self.running_var = m * self.running_var + (1.0 - m) * var
         return self.gamma * x_hat + self.beta, (x_hat, inv_std)
 
-    def backward(self, cache, grad):
+    def backward(self, cache, grad, out=None, input_only=False):
         if cache is None:
             raise StateError("batch_norm backward needs a train-mode cache")
         x_hat, inv_std = cache
         n = grad.shape[0]
-        grad_beta = grad.sum(axis=0)
-        grad_gamma = (grad * x_hat).sum(axis=0)
+        # the input gradient needs both sums, so input_only saves nothing here
+        grad_gamma, grad_beta = out if out is not None else (None, None)
+        grad_beta = np.sum(grad, axis=0, out=grad_beta)
+        grad_gamma = np.sum(grad * x_hat, axis=0, out=grad_gamma)
         grad_x = (self.gamma * inv_std / n) * (
             n * grad - grad_beta - x_hat * grad_gamma
         )
-        return grad_x, [grad_gamma, grad_beta]
+        return grad_x, [] if input_only else [grad_gamma, grad_beta]
 
 
 def build_layer(spec: LayerSpec, in_width: int, rng: np.random.Generator) -> Layer:

@@ -27,15 +27,22 @@ _HEAD_ACTIVATION_CLS = {
 @dataclass
 class Gradients:
     """Parameter gradients (aligned with ``Network.parameters()``) and the
-    gradient w.r.t. each input head."""
+    gradient w.r.t. each input head.
+
+    ``params`` are views into one flat buffer laid out like
+    ``Network.flat_parameters()``; an input-only backward has neither.
+    """
 
     params: list[np.ndarray]
     inputs: list[np.ndarray]
+    buffer: np.ndarray | None
 
     def flat(self) -> np.ndarray:
         """All parameter gradients in one vector, matching
         ``Network.flat_parameters()`` element for element."""
-        return np.concatenate([g.ravel() for g in self.params])
+        if self.buffer is None:
+            raise StateError("an input-only backward has no parameter gradients")
+        return self.buffer
 
 
 class _ForwardCache:
@@ -55,6 +62,8 @@ class Network:
         self.trunk = trunk
         self.heads = heads
         self.mode = TRAIN
+        # (offset, size, shape) of each parameter of each layer in the flat buffer
+        self._layout: dict[Layer, list[tuple[int, int, tuple]]] = {}
         self._flat = self._flatten_into_buffer()
 
     def _flatten_into_buffer(self) -> np.ndarray:
@@ -64,11 +73,13 @@ class Network:
         buffer = np.empty(sum(a.size for a in arrays))
         offset = 0
         for layer in self._param_layers():
+            spans = self._layout[layer] = []
             for name in layer.param_names:
                 arr = getattr(layer, name)
                 view = buffer[offset:offset + arr.size].reshape(arr.shape)
                 view[...] = arr
                 setattr(layer, name, view)
+                spans.append((offset, arr.size, arr.shape))
                 offset += arr.size
         return buffer
 
@@ -150,8 +161,14 @@ class Network:
 
         return outputs, _ForwardCache(self, mode, batch, trunk_caches, head_caches)
 
-    def backward(self, cache: _ForwardCache, head_loss_grads) -> Gradients:
-        """Backpropagate per-head loss gradients through the whole network."""
+    def backward(self, cache: _ForwardCache, head_loss_grads,
+                 input_only: bool = False) -> Gradients:
+        """Backpropagate per-head loss gradients through the whole network.
+
+        Parameter gradients go into a flat buffer allocated per call, so
+        the ``Gradients`` of separate calls never alias. ``input_only``
+        skips them and computes the input gradients alone.
+        """
         if cache.net is not self:
             raise StateError("cache was produced by a different network")
         if cache.mode != TRAIN:
@@ -163,9 +180,15 @@ class Network:
                 f"network has {self.n_heads} heads, got {len(head_loss_grads)} gradients"
             )
 
+        if input_only:
+            flat, out = None, {}
+        else:
+            flat = np.empty(self._flat.size)
+            out = {layer: [flat[o:o + n].reshape(shape) for o, n, shape in spans]
+                   for layer, spans in self._layout.items()}
+
         trunk_width = self.spec.trunk_width()
         trunk_grad = np.zeros((cache.batch_size, trunk_width))
-        head_param_grads = []
         for (dense_layer, activation), (dense_cache, act_cache), grad in zip(
             self.heads, cache.heads, head_loss_grads
         ):
@@ -176,29 +199,22 @@ class Network:
                     f"({cache.batch_size}, {dense_layer.out_width})"
                 )
             grad, _ = activation.backward(act_cache, grad)
-            grad, dense_grads = dense_layer.backward(dense_cache, grad)
-            head_param_grads.append(dense_grads)
+            grad, _ = dense_layer.backward(dense_cache, grad, out.get(dense_layer),
+                                           input_only=input_only)
             trunk_grad += grad
 
-        trunk_param_grads = []
         grad = trunk_grad
         for layer, layer_cache in zip(reversed(self.trunk), reversed(cache.trunk)):
-            grad, param_grads = layer.backward(layer_cache, grad)
-            trunk_param_grads.append(param_grads)
-        trunk_param_grads.reverse()
-
-        params = []
-        for grads in trunk_param_grads:
-            params.extend(grads)
-        for grads in head_param_grads:
-            params.extend(grads)
+            grad, _ = layer.backward(layer_cache, grad, out.get(layer),
+                                     input_only=input_only)
 
         input_grads = []
         offset = 0
         for width in self.spec.input_widths:
             input_grads.append(grad[:, offset:offset + width])
             offset += width
-        return Gradients(params=params, inputs=input_grads)
+        params = [view for views in out.values() for view in views]
+        return Gradients(params=params, inputs=input_grads, buffer=flat)
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:

@@ -107,3 +107,80 @@ def test_accumulators_mirror_parameter_shapes():
     state = AdamState.for_params(params, 0.01)
     assert [m.shape for m in state.first_moment] == [(4, 3), (3,)]
     assert [v.shape for v in state.second_moment] == [(4, 3), (3,)]
+
+
+def test_non_finite_entries_in_a_long_vector_raise_and_leave_state_untouched():
+    params = [np.linspace(-1.0, 1.0, 1000)]
+    state = AdamState.for_params(params, 0.01)
+    adam_step(state, params, [np.full(1000, 0.5)])
+    value, moment = params[0].copy(), state.first_moment[0].copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        grad = np.full(1000, 0.25)
+        grad[617] = bad
+        with pytest.raises(NumericError):
+            adam_step(state, params, [grad])
+    mixed = np.zeros(1000)
+    mixed[3], mixed[4] = np.inf, -np.inf  # the sum is NaN, not inf
+    with pytest.raises(NumericError):
+        adam_step(state, params, [mixed])
+    np.testing.assert_array_equal(params[0], value)
+    np.testing.assert_array_equal(state.first_moment[0], moment)
+    assert state.step_count == 1
+
+
+def test_finite_gradient_whose_sum_overflows_is_accepted():
+    params = [np.array([1.0, -1.0])]
+    state = AdamState.for_params(params, 0.01)
+    with np.errstate(over="ignore"):
+        adam_step(state, params, [np.array([1e308, 1e308])])
+    assert state.step_count == 1
+    assert np.all(np.isfinite(params[0]))
+
+
+def _reference_adam_step(state, p, g):
+    """The update with a fresh temporary per operation, in the same order."""
+    lr = state.learning_rate / (1.0 + state.decay * state.step_count)
+    t = state.step_count + 1
+    bias1 = 1.0 - state.beta1 ** t
+    bias2 = 1.0 - state.beta2 ** t
+    alpha = lr * np.sqrt(bias2) / bias1
+    eps_hat = state.epsilon * np.sqrt(bias2)
+    m, v = state.first_moment[0], state.second_moment[0]
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += np.square(g) * (1.0 - state.beta2)
+    p -= (m / (np.sqrt(v) + eps_hat)) * alpha
+    state.step_count = t
+
+
+def test_in_place_step_is_bit_identical_to_temporaries():
+    rng = np.random.default_rng(12)
+    start = rng.standard_normal(5000)
+    ours, ref = [start.copy()], start.copy()
+    state = AdamState.for_params(ours, 0.001, beta1=0.5, decay=1e-6)
+    ref_state = AdamState.for_params([ref], 0.001, beta1=0.5, decay=1e-6)
+    for _ in range(20):
+        g = rng.standard_normal(5000) * 3.0
+        adam_step(state, ours, [g])
+        _reference_adam_step(ref_state, ref, g)
+    np.testing.assert_array_equal(ours[0], ref)
+    np.testing.assert_array_equal(state.second_moment[0], ref_state.second_moment[0])
+
+
+def test_step_allocates_no_parameter_sized_array():
+    import tracemalloc
+
+    params = [np.zeros(100_000)]
+    grads = [np.full(100_000, 0.1)]
+    state = AdamState.for_params(params, 0.001)
+    adam_step(state, params, grads)  # the first step makes the scratch space
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        adam_step(state, params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < params[0].nbytes // 10

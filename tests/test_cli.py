@@ -163,3 +163,87 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 123
     assert manifest["gan"]["seed"] == 123
+
+
+def test_generate_without_preprocessing_exits_one(tmp_path, capsys):
+    model = tmp_path / "model"
+    assert run_cli("train", *SMALL_DATA, "--variant", "test_2", *FAST,
+                   "--batch-size", "8", "--latent-size", "3", "--out", model) == 0
+    (model / "preprocessing.json").unlink()
+    capsys.readouterr()
+    assert run_cli("generate", "--model", model, "--class", "1", "-n", "3",
+                   "--out", tmp_path / "s.csv") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    (model / "preprocessing.json").write_text("{}")  # parses, but has no standardizer
+    assert run_cli("generate", "--model", model, "--class", "1", "-n", "3",
+                   "--out", tmp_path / "s.csv") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_manifest_missing_file_exits_one(tmp_path, capsys):
+    assert run_cli("train", "--manifest", tmp_path / "nope.json", "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_manifest_malformed_json_exits_one(tmp_path, capsys):
+    bad = tmp_path / "manifest.json"
+    bad.write_text('{"dataset": null, "seed": ')
+    assert run_cli("train", "--manifest", bad, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_manifest_lacking_a_key_exits_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", "--epochs", "1",
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["dataset"]
+    bad = tmp_path / "lacking.json"
+    bad.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("train", "--manifest", bad, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dataset" in err
+
+
+def test_manifest_records_environment_and_replay_ignores_it(tmp_path):
+    from stgan_nd.blas import openblas
+
+    out = tmp_path / "run"
+    assert run_cli("train", *SMALL_DATA, "--variant", "test_2", *FAST,
+                   "--batch-size", "8", "--latent-size", "3", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    lib = openblas()
+    if lib is not None:
+        assert env["blas"] == lib.config
+        assert env["training_blas_threads"] == 1
+    manifest["environment"] = {"numpy": "0.0", "training_blas_threads": 64}
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay"
+    assert run_cli("train", "--manifest", edited, "--out", replay) == 0
+    assert (replay / "losses.csv").read_bytes() == (out / "losses.csv").read_bytes()
+
+
+def test_evaluate_retrains_when_the_stored_manifest_differs(tmp_path):
+    common = [*SMALL_DATA, "--seed", "7", "--batch-size", "8", "--latent-size", "3",
+              "--variants", "test_2"]
+    reused = tmp_path / "reused"
+    assert run_cli("evaluate", *common, "--epochs", "6", "--out", reused) == 0
+    long_model = (reused / "test_2" / "discriminator.json").read_bytes()
+    assert run_cli("evaluate", *common, "--epochs", "2", "--out", reused) == 0
+    fresh = tmp_path / "fresh"
+    assert run_cli("evaluate", *common, "--epochs", "2", "--out", fresh) == 0
+
+    assert (reused / "test_2" / "discriminator.json").read_bytes() != long_model
+    manifest = json.loads((reused / "test_2" / "manifest.json").read_text())
+    assert manifest["gan"]["epochs"] == 2
+    auc = [json.loads((d / "report.json").read_text())[0]["auc"] for d in (reused, fresh)]
+    assert auc[0] == auc[1]
+    # the same configuration again reuses the trained model
+    stamp = (reused / "test_2" / "discriminator.json").stat().st_mtime_ns
+    assert run_cli("evaluate", *common, "--epochs", "2", "--out", reused) == 0
+    assert (reused / "test_2" / "discriminator.json").stat().st_mtime_ns == stamp

@@ -346,3 +346,44 @@ def test_gan_config_presets():
         GanConfig(batch_size=7)
     with pytest.raises(SpecError):
         GanConfig(stochastic_p_low=0.95, stochastic_p_high=0.9)
+
+
+# ------------------------------------------------------------- BLAS pinning
+
+def test_single_thread_blas_pins_one_thread_and_restores():
+    from stgan_nd.blas import openblas
+
+    lib = openblas()
+    if lib is None:
+        pytest.skip("numpy is not using an OpenBLAS here")
+    original = lib.get_num_threads()
+    try:
+        lib.set_num_threads(2)
+        prior = lib.get_num_threads()
+        with gan_module._single_thread_blas():
+            assert lib.get_num_threads() == 1
+        assert lib.get_num_threads() == prior
+    finally:
+        lib.set_num_threads(original)
+
+
+def test_train_gan_runs_on_one_blas_thread(monkeypatch):
+    from stgan_nd import blas
+
+    lib = blas.openblas()
+    if lib is None:
+        pytest.skip("numpy is not using an OpenBLAS here")
+    seen = []
+    real_step = gan_module.train_generator_step
+
+    def spy(*args, **kwargs):
+        seen.append(lib.get_num_threads())
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(gan_module, "train_generator_step", spy)
+    before = lib.get_num_threads()
+    x, y = small_training_data()
+    train_gan(x, y, 4, small_config(epochs=1))
+    assert seen and set(seen) == {1}
+    assert blas.environment()["training_blas_threads"] == 1
+    assert lib.get_num_threads() == before

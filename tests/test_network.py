@@ -169,3 +169,36 @@ def test_train_forward_is_reproducible_with_same_stream():
                               update_stats=False)
     np.testing.assert_array_equal(a1, b1)
     np.testing.assert_array_equal(a2, b2)
+
+
+def test_input_only_backward_matches_full_input_gradients():
+    net = _two_input_net()
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+    comp, cache = _loss_through(net, x1, x2)
+    full = net.backward(cache, comp.gradient)
+    lean = net.backward(cache, comp.gradient, input_only=True)
+    assert lean.params == []
+    for a, b in zip(full.inputs, lean.inputs):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(StateError):
+        lean.flat()
+
+
+def test_gradient_views_share_the_flat_buffer_and_calls_do_not_alias():
+    net = _two_input_net()
+    rng = np.random.default_rng(6)
+    comp, cache = _loss_through(net, rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+    first = net.backward(cache, comp.gradient)
+    second = net.backward(cache, comp.gradient)
+    flat = first.flat()
+    assert flat.size == net.flat_parameters().size
+    offset = 0
+    for grad, param in zip(first.params, net.parameters()):
+        assert grad.shape == param.shape
+        assert np.shares_memory(grad, flat)
+        np.testing.assert_array_equal(grad.ravel(), flat[offset:offset + grad.size])
+        offset += grad.size
+    assert offset == flat.size
+    assert not np.shares_memory(flat, second.flat())
+    np.testing.assert_array_equal(flat, second.flat())
