@@ -11,9 +11,10 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import blas
@@ -23,12 +24,13 @@ from .evaluate import write_roc_csv
 from .experiments import (
     VARIANTS,
     PreparedData,
+    TrainedModel,
     distance_tables,
     evaluate_model,
     prepare_data,
     train_variant,
 )
-from .gan import BaselineConfig, GanConfig, generate_samples, write_loss_csv
+from .gan import BaselineConfig, GanBundle, GanConfig, generate_samples, write_loss_csv
 from .nn import load_checkpoint, save_checkpoint
 from .rng import substream
 from .synth import SynthSpec, make_synthetic_dataset
@@ -36,6 +38,8 @@ from .synth import SynthSpec, make_synthetic_dataset
 ENV_SEED = "STGAN_ND_SEED"
 # manifest key of the run environment; replay ignores it
 ENVIRONMENT = "environment"
+# the variants trained from one adversarial run; evaluate runs them as one job
+GAN_VARIANTS = ("test_2", "test_3")
 
 
 class _CliError(SpecError):
@@ -273,25 +277,46 @@ def _write_preprocessing(prep: PreparedData, out: Path) -> None:
     (out / "preprocessing.json").write_text(json.dumps(payload, indent=1))
 
 
-def _train_run(config: RunConfig, out: Path) -> None:
+def _train_run(config: RunConfig, out: Path, prep: PreparedData,
+               gan: tuple[GanBundle, Path] | None = None) -> TrainedModel:
+    """Train ``config.variant`` on ``prep`` and write its run directory.
+
+    ``gan`` is the bundle and run directory of a GAN variant trained in
+    this process for the same configuration: a GAN variant then starts
+    from that bundle and copies its GAN files (generator, losses,
+    periodic checkpoints) byte for byte instead of training and writing
+    the same GAN again.
+    """
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(config, out)
-    prep = _prepare(config)
+    bundle, gan_dir = gan if gan is not None else (None, None)
     model = train_variant(
         prep, config.variant, config.gan_config(), config.baseline_config(),
-        checkpoint_dir=out / "checkpoints",
+        checkpoint_dir=out / "checkpoints", bundle=bundle,
     )
     _write_preprocessing(prep, out)
     if model.bundle is not None:
-        save_checkpoint(out / "generator.json", model.bundle.generator,
-                        model.bundle.adam_g, rng_seed=config.seed)
-        write_loss_csv(model.bundle.loss_history, out / "losses.csv")
+        if gan_dir is None:
+            save_checkpoint(out / "generator.json", model.bundle.generator,
+                            model.bundle.adam_g, rng_seed=config.seed)
+            write_loss_csv(model.bundle.loss_history, out / "losses.csv")
+        else:
+            _copy_gan_files(model.bundle, gan_dir, out)
         if config.variant == "test_3":
             _write_supervised_losses(model.history, out / "retrain_losses.csv")
     else:
         _write_supervised_losses(model.history, out / "losses.csv")
     save_checkpoint(out / "discriminator.json", model.network, rng_seed=config.seed)
     print(f"{config.variant}: trained, outputs in {out}")
+    return model
+
+
+def _copy_gan_files(bundle: GanBundle, source: Path, out: Path) -> None:
+    for name in ("generator.json", "losses.csv"):
+        shutil.copyfile(source / name, out / name)
+    (out / "checkpoints").mkdir(exist_ok=True)
+    for path in bundle.checkpoints:
+        shutil.copyfile(path, out / "checkpoints" / path.name)
 
 
 def _write_supervised_losses(history, path) -> None:
@@ -326,11 +351,13 @@ def cmd_train(args) -> int:
         config = RunConfig.from_manifest(_read_json(Path(args.manifest), "manifest"))
     else:
         config = _run_config_from_args(args)
-    _train_run(config, Path(args.out))
+    _train_run(config, Path(args.out), _prepare(config))
     return 0
 
 
 def cmd_distances(args) -> int:
+    if args.n_generated is not None and args.n_generated < 1:
+        raise _CliError(f"--n-generated must be positive, got {args.n_generated}")
     config = _run_config_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -351,25 +378,51 @@ def cmd_distances(args) -> int:
     return 0
 
 
-def _evaluate_one(payload) -> dict:
-    manifest, variant, out_dir = payload
-    config = RunConfig.from_manifest(manifest)
-    config.variant = variant
-    out = Path(out_dir)
-    model_path = out / "discriminator.json"
-    # reuse a trained model only if it was trained for this very configuration
-    if not (model_path.exists() and _same_config(out / "manifest.json", config)):
-        _train_run(config, out)
-    net, _, _ = load_checkpoint(model_path)
-    prep = _prepare(config)
-    evaluation = evaluate_model(net, prep, config.target_gca, variant)
-    write_roc_csv(evaluation.roc_points, out / "roc.csv")
-    return {
-        "variant": variant,
-        "auc": evaluation.auc,
-        "rows": [r.to_dict() for r in evaluation.rows],
-        "targets": evaluation.targets,
-    }
+def _evaluate_one(payload) -> list[dict]:
+    """Train or reuse, then evaluate, the variants of one job, in order.
+
+    The data is prepared once per job. A variant's trained model in
+    ``<out>/<variant>`` is reused only if it was trained for this very
+    configuration. When ``test_2`` is trained in the job, ``test_3``
+    retrains from its GAN instead of training the same GAN again.
+    """
+    manifest, variants, out_root = payload
+    base = RunConfig.from_manifest(manifest)
+    prep = _prepare(base)
+    gan = None
+    results = []
+    for variant in variants:
+        config = replace(base, variant=variant)
+        out = Path(out_root) / variant
+        model_path = out / "discriminator.json"
+        if model_path.exists() and _same_config(out / "manifest.json", config):
+            net, _, _ = load_checkpoint(model_path)
+        else:
+            model = _train_run(config, out, prep, gan)
+            net = model.network
+            if variant == "test_2":
+                gan = (model.bundle, out)
+        evaluation = evaluate_model(net, prep, config.target_gca, variant)
+        write_roc_csv(evaluation.roc_points, out / "roc.csv")
+        results.append({
+            "variant": variant,
+            "auc": evaluation.auc,
+            "rows": [r.to_dict() for r in evaluation.rows],
+            "targets": evaluation.targets,
+        })
+    return results
+
+
+def _evaluation_jobs(variants: list[str]) -> list[list[str]]:
+    """One job per variant, except the GAN variants, which share one job
+    (test_2 first) placed where the first of them was asked for."""
+    jobs = []
+    for variant in variants:
+        if variant not in GAN_VARIANTS:
+            jobs.append([variant])
+        elif not any(job[0] in GAN_VARIANTS for job in jobs):
+            jobs.append([v for v in GAN_VARIANTS if v in variants])
+    return jobs
 
 
 def cmd_evaluate(args) -> int:
@@ -377,17 +430,26 @@ def cmd_evaluate(args) -> int:
     variants = (
         [v for v in args.variants.split(",") if v] if args.variants else [config.variant]
     )
+    if not variants:
+        raise _CliError("--variants names no variant")
     for variant in variants:
         if variant not in VARIANTS:
             raise _CliError(f"unknown variant {variant!r}")
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise _CliError(f"--variants names {', '.join(repeated)} more than once")
+    if args.jobs < 1:
+        raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config.to_manifest(), v, str(out / v)) for v in variants]
+    jobs = [(config.to_manifest(), job, str(out)) for job in _evaluation_jobs(variants)]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_evaluate_one, jobs))
+            done = [r for job_results in pool.map(_evaluate_one, jobs) for r in job_results]
     else:
-        results = [_evaluate_one(job) for job in jobs]
+        done = [r for job in jobs for r in _evaluate_one(job)]
+    by_variant = {result["variant"]: result for result in done}
+    results = [by_variant[v] for v in variants]
 
     _write_accuracy_csv(results, config.target_gca, out / "accuracy.csv")
     (out / "report.json").write_text(json.dumps(results, indent=1))

@@ -142,9 +142,18 @@ def load_dataset(path, channels: list[int] | None = None) -> Dataset:
     features, labels = table[:, :-1], table[:, -1]
     if np.any(labels != np.round(labels)):
         raise DataError(f"{path}: labels must be integers")
-    if channels is not None:
-        features = features[:, list(channels)]
+    features = _select_channels(features, channels, path)
     return Dataset(features, labels.astype(int), provenance=REAL_CSV)
+
+
+def _select_channels(matrix: np.ndarray, channels: list[int] | None, path) -> np.ndarray:
+    if channels is None:
+        return matrix
+    width = matrix.shape[1]
+    bad = [c for c in channels if not 0 <= c < width]
+    if bad:
+        raise DataError(f"{path}: channel indices {bad} outside 0..{width - 1}")
+    return matrix[:, list(channels)]
 
 
 def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
@@ -161,8 +170,7 @@ def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
             if not sample_path.exists():
                 raise DataError(f"{path}: row {i} points at missing file {cells[0]}")
             sample = _read_numeric_csv(sample_path, skip_header=False)
-            if channels is not None:
-                sample = sample[:, list(channels)]
+            sample = _select_channels(sample, channels, sample_path)
             samples.append(sample)
             label = _parse_cell(cells[1], i, 1)
             if label != round(label):

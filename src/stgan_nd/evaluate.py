@@ -11,6 +11,8 @@ import numpy as np
 from .errors import ShapeError, SpecError
 
 THRESHOLD_GRID = np.arange(1001) / 1000.0  # 0, 0.001, ..., 1.0
+# float64 elements in one block of the set-distance broadcast (8 MB)
+DISTANCE_BLOCK_ELEMENTS = 1 << 20
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -29,18 +31,33 @@ def pairwise_set_distance(x: np.ndarray, y: np.ndarray, exclude_self: bool = Fal
     With ``exclude_self`` (intra-class baseline where x and y are the same
     set in the same order), the j == i term is dropped and the divisor
     becomes N - 1.
+
+    Rows of ``y`` are taken in blocks so that the broadcast stays within
+    ``DISTANCE_BLOCK_ELEMENTS``; each row's result is computed exactly as
+    from the full distance matrix.
     """
-    dists = pairwise_distances(x, y)
-    n = dists.shape[1]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"feature widths differ: {x.shape} vs {y.shape}")
+    n = x.shape[0]
     if n == 0:
         raise SpecError("reference set is empty")
     if exclude_self:
-        if dists.shape[0] != n:
+        if y.shape[0] != n:
             raise ShapeError("exclude_self requires x and y to be the same set")
         if n < 2:
             raise SpecError("need at least 2 samples to exclude the self-distance")
-        return (dists.sum(axis=1) - np.diag(dists)) / (n - 1)
-    return dists.mean(axis=1)
+    rows = max(1, DISTANCE_BLOCK_ELEMENTS // max(1, n * x.shape[1]))
+    out = np.empty(y.shape[0])
+    for start in range(0, y.shape[0], rows):
+        dists = pairwise_distances(x, y[start:start + rows])
+        if exclude_self:
+            own = dists[np.arange(dists.shape[0]), np.arange(start, start + dists.shape[0])]
+            out[start:start + rows] = (dists.sum(axis=1) - own) / (n - 1)
+        else:
+            out[start:start + rows] = dists.mean(axis=1)
+    return out
 
 
 def generation_spread(samples: np.ndarray) -> float:

@@ -105,13 +105,18 @@ class TrainedModel:
 
 
 def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
-                  baseline_config: BaselineConfig, checkpoint_dir=None) -> TrainedModel:
+                  baseline_config: BaselineConfig, checkpoint_dir=None,
+                  bundle: GanBundle | None = None) -> TrainedModel:
     """Train one experiment variant on prepared data.
 
     baseline_a: one-hot supervised training. test_1a: supervised with
     stochastic targets. test_2: the discriminator straight out of
     adversarial training. test_3: that discriminator retrained on the
     offline-augmented training set (+50% generated rows).
+
+    ``bundle`` is a GAN already trained by ``train_gan`` on ``prep`` with
+    ``gan_config``; the GAN variants start from it instead of training
+    their own (and write no periodic checkpoints). It is left unchanged.
     """
     if variant not in VARIANTS:
         raise SpecError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -130,9 +135,10 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
         )
         return TrainedModel(variant, net, None, history)
 
-    bundle = train_gan(
-        prep.x_train, prep.y_train, prep.n_classes, gan_config, checkpoint_dir
-    )
+    if bundle is None:
+        bundle = train_gan(
+            prep.x_train, prep.y_train, prep.n_classes, gan_config, checkpoint_dir
+        )
     if variant == "test_2":
         return TrainedModel(variant, bundle.discriminator, bundle, bundle.loss_history)
 
@@ -223,7 +229,7 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
                 targets = D.stochastic_target_batch(
                     np.full(n, cls), prep.n_classes, peaks
                 )
-                samples = _generate_with_targets(generator, targets, rng)
+                samples = generate_samples(generator, targets, n, rng)
             generated_by_class[cls] = prep.standardizer.inverse(samples)
     random_by_class = {
         cls: gaussian_baseline_sampler(stats[cls][0], stats[cls][1],
@@ -232,10 +238,3 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
     }
     return distance_report(real_by_class, generated_by_class, random_by_class)
 
-
-def _generate_with_targets(generator: Network, targets: np.ndarray, rng) -> np.ndarray:
-    from .gan import sample_noise
-
-    z = sample_noise(targets.shape[0], generator.spec.input_widths[0], rng)
-    (out,), _ = generator.forward([z, targets], INFER, update_stats=False)
-    return out

@@ -145,6 +145,7 @@ class GanBundle:
     adam_g: AdamState
     adam_d: AdamState
     loss_history: list[EpochLosses] = field(default_factory=list)
+    checkpoints: list[Path] = field(default_factory=list)  # periodic files written
 
 
 @dataclass
@@ -362,20 +363,18 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
                 raise NumericError(f"training diverged at epoch {epoch}: {record}")
             bundle.loss_history.append(record)
             if checkpoint_dir is not None and epoch % config.checkpoint_every == 0:
-                save_checkpoint(
-                    checkpoint_dir / f"generator_e{epoch:04d}.json",
-                    generator, bundle.adam_g, rng_seed=config.seed,
-                )
-                save_checkpoint(
-                    checkpoint_dir / f"discriminator_e{epoch:04d}.json",
-                    discriminator, bundle.adam_d, rng_seed=config.seed,
-                )
+                for name, net, adam in (("generator", generator, bundle.adam_g),
+                                        ("discriminator", discriminator, bundle.adam_d)):
+                    path = checkpoint_dir / f"{name}_e{epoch:04d}.json"
+                    save_checkpoint(path, net, adam, rng_seed=config.seed)
+                    bundle.checkpoints.append(path)
     return bundle
 
 
 def generate_samples(generator: Network, target, n: int, rng: np.random.Generator,
                      mode: str = INFER) -> np.ndarray:
-    """Generate n feature rows for a class index or an explicit target vector.
+    """Generate n feature rows for a class index, a target vector or an
+    (n, n_classes) matrix of per-row targets.
 
     Passing a full target vector permits mixtures that no trained class
     produces (the "invented class" use case). Rows come out in the
@@ -383,16 +382,19 @@ def generate_samples(generator: Network, target, n: int, rng: np.random.Generato
     """
     latent_size, n_classes = generator.spec.input_widths
     n = int(n)
+    if n < 0:
+        raise SpecError(f"cannot generate a negative number of rows ({n})")
     if n == 0:
         return np.empty((0, generator.spec.output_heads[0][0]))
     if np.isscalar(target) or isinstance(target, (int, np.integer)):
-        vec = one_hot_batch([int(target)], n_classes)[0]
+        targets = one_hot_batch([int(target)], n_classes)[0]
     else:
-        vec = np.asarray(target, dtype=float)
-        if vec.shape != (n_classes,):
-            raise ShapeError(f"target vector must have shape ({n_classes},)")
+        targets = np.asarray(target, dtype=float)
+    if targets.shape == (n_classes,):
+        targets = np.repeat(targets[None, :], n, axis=0)
+    elif targets.shape != (n, n_classes):
+        raise ShapeError(f"targets must have shape ({n_classes},) or ({n}, {n_classes})")
     z = sample_noise(n, latent_size, rng)
-    targets = np.repeat(vec[None, :], n, axis=0)
     layer_rng = rng if mode == TRAIN else None
     (out,), _ = generator.forward([z, targets], mode, rng=layer_rng, update_stats=False)
     return out

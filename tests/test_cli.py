@@ -247,3 +247,133 @@ def test_evaluate_retrains_when_the_stored_manifest_differs(tmp_path):
     stamp = (reused / "test_2" / "discriminator.json").stat().st_mtime_ns
     assert run_cli("evaluate", *common, "--epochs", "2", "--out", reused) == 0
     assert (reused / "test_2" / "discriminator.json").stat().st_mtime_ns == stamp
+
+
+def _error_exit(capsys, *args):
+    capsys.readouterr()
+    code = run_cli(*args)
+    return code, capsys.readouterr().err
+
+
+def test_generate_negative_count_exits_one(tmp_path, capsys):
+    model = tmp_path / "model"
+    assert run_cli("train", *SMALL_DATA, "--variant", "test_2", *FAST,
+                   "--batch-size", "8", "--latent-size", "3", "--out", model) == 0
+    code, err = _error_exit(capsys, "generate", "--model", model, "--class", "1",
+                            "-n", "-5", "--out", tmp_path / "s.csv")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_distances_negative_n_generated_exits_one(tmp_path, capsys):
+    code, err = _error_exit(capsys, "distances", *SMALL_DATA, "--seed", "7",
+                            "--n-generated", "-3", "--out", tmp_path / "d")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_channel_out_of_range_exits_one(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--out", data, "--spec", "5,24,6", "--seed", "3") == 0
+    code, err = _error_exit(capsys, "train", "--dataset", data, "--novel-classes", "4",
+                            "--channels", "99", "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "99" in err
+
+
+def test_evaluate_with_no_variant_exits_one(tmp_path, capsys):
+    code, err = _error_exit(capsys, "evaluate", *SMALL_DATA, *FAST, "--variants", ",",
+                            "--out", tmp_path / "e")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_with_a_repeated_variant_exits_one(tmp_path, capsys):
+    code, err = _error_exit(capsys, "evaluate", *SMALL_DATA, *FAST,
+                            "--variants", "baseline_a,baseline_a", "--jobs", "2",
+                            "--out", tmp_path / "e")
+    assert code == 1 and err.startswith("error: ") and "baseline_a" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_with_zero_jobs_exits_one(tmp_path, capsys):
+    code, err = _error_exit(capsys, "evaluate", *SMALL_DATA, *FAST,
+                            "--variants", "baseline_a", "--jobs", "0",
+                            "--out", tmp_path / "e")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "e").exists()
+
+
+def _count_gan_trainings(monkeypatch):
+    import stgan_nd.experiments as experiments
+
+    calls = []
+    real = experiments.train_gan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_gan", counted)
+    return calls
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+GAN_SMALL = [*SMALL_DATA, "--seed", "7", "--batch-size", "8", "--latent-size", "3"]
+
+
+def test_evaluate_trains_one_gan_for_test_2_and_test_3(tmp_path, monkeypatch):
+    calls = _count_gan_trainings(monkeypatch)
+    # 50 epochs is the checkpoint cadence, so periodic checkpoints are copied too
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *GAN_SMALL, "--epochs", "50",
+                   "--variants", "test_2,test_3", "--out", out) == 0
+    assert len(calls) == 1
+    separate = tmp_path / "separate"
+    assert run_cli("train", *GAN_SMALL, "--epochs", "50", "--variant", "test_3",
+                   "--out", separate) == 0
+    assert len(calls) == 2
+
+    shared = _tree(out / "test_3")
+    alone = _tree(separate)
+    assert "checkpoints/generator_e0050.json" in alone
+    for name in ("generator.json", "discriminator.json", "losses.csv",
+                 "retrain_losses.csv", "preprocessing.json",
+                 "checkpoints/generator_e0050.json", "checkpoints/discriminator_e0050.json"):
+        assert shared[name] == alone[name], name
+    assert set(shared) - {"roc.csv"} == set(alone)
+    assert shared["losses.csv"] == (out / "test_2" / "losses.csv").read_bytes()
+
+
+def test_evaluate_jobs_two_writes_what_jobs_one_writes(tmp_path):
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("evaluate", *GAN_SMALL, "--epochs", "3",
+                       "--variants", "test_3,baseline_a,test_2", "--jobs", jobs,
+                       "--out", out) == 0
+        runs[jobs] = _tree(out)
+    assert runs["1"] == runs["2"]
+    report = json.loads(runs["1"]["report.json"])
+    assert [entry["variant"] for entry in report] == ["test_3", "baseline_a", "test_2"]
+    for name in ("accuracy.csv", "test_3/discriminator.json", "test_2/roc.csv"):
+        assert name in runs["1"]
+
+
+def test_evaluate_trains_test_3_beside_a_reused_test_2(tmp_path, monkeypatch):
+    common = [*GAN_SMALL, "--epochs", "3"]
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *common, "--variants", "test_2", "--out", out) == 0
+    stamp = (out / "test_2" / "discriminator.json").stat().st_mtime_ns
+    calls = _count_gan_trainings(monkeypatch)
+    assert run_cli("evaluate", *common, "--variants", "test_2,test_3", "--out", out) == 0
+    assert len(calls) == 1  # test_3's own GAN; test_2 is reused
+    assert (out / "test_2" / "discriminator.json").stat().st_mtime_ns == stamp
+    fresh = tmp_path / "fresh"
+    assert run_cli("evaluate", *common, "--variants", "test_3", "--out", fresh) == 0
+    reused_auc = json.loads((out / "report.json").read_text())[1]["auc"]
+    fresh_auc = json.loads((fresh / "report.json").read_text())[0]["auc"]
+    assert reused_auc == fresh_auc

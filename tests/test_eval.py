@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import stgan_nd.evaluate as evaluate_module
 from stgan_nd.errors import ShapeError, SpecError
 from stgan_nd.evaluate import (
     THRESHOLD_GRID,
@@ -9,6 +10,7 @@ from stgan_nd.evaluate import (
     distance_report,
     generation_spread,
     novelty_scores,
+    pairwise_distances,
     pairwise_set_distance,
     roc_auc,
     tune_threshold,
@@ -29,6 +31,25 @@ def brute_force_set_distance(x, y, exclude_self=False):
             count += 1
         out[i] = total / count
     return out
+
+
+@pytest.mark.parametrize("block_elements,n_x,n_y", [
+    (5 * 7 * 3, 7, 23),                                  # blocks of 5 rows, 3 left over
+    (7 * 3, 7, 7),                                       # one row per block
+    (evaluate_module.DISTANCE_BLOCK_ELEMENTS, 110, 1200),  # the real budget: 595 + 595 + 10
+])
+def test_blocked_set_distance_equals_the_full_matrix_bit_for_bit(
+        monkeypatch, block_elements, n_x, n_y):
+    width = 3 if n_x < 100 else 16
+    monkeypatch.setattr(evaluate_module, "DISTANCE_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(n_y)
+    x = rng.normal(size=(n_x, width)) * 3.0
+    y = rng.normal(size=(n_y, width))
+    full = pairwise_distances(x, y)
+    np.testing.assert_array_equal(pairwise_set_distance(x, y), full.mean(axis=1))
+    own = pairwise_distances(y, y)
+    np.testing.assert_array_equal(pairwise_set_distance(y, y, exclude_self=True),
+                                  (own.sum(axis=1) - np.diag(own)) / (n_y - 1))
 
 
 def test_distance_to_identical_single_row_is_zero():

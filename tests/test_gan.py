@@ -236,6 +236,18 @@ def test_generate_samples_accepts_untrained_mixture_vector():
         generate_samples(gen, np.full(5, 0.2), 3, np.random.default_rng(1))
 
 
+def test_generate_samples_target_matrix_of_identical_rows_matches_the_vector():
+    gen = build_generator(6, 4, 3, seed=8)
+    vec = np.array([0.025, 0.925, 0.025, 0.025])
+    a = generate_samples(gen, vec, 9, np.random.default_rng(2))
+    b = generate_samples(gen, np.tile(vec, (9, 1)), 9, np.random.default_rng(2))
+    np.testing.assert_array_equal(a, b)
+    with pytest.raises(ShapeError):
+        generate_samples(gen, np.tile(vec, (8, 1)), 9, np.random.default_rng(2))
+    with pytest.raises(SpecError):
+        generate_samples(gen, vec, -5, np.random.default_rng(2))
+
+
 def test_generated_samples_do_not_collapse():
     ds = make_synthetic_dataset(SynthSpec(n_classes=4, samples_per_class=40,
                                           n_features=6, seed=2))
