@@ -78,7 +78,7 @@ toy_labels = np.array([0] * n + [1] * n)
 toy_targets = np.eye(3)[toy_labels]
 toy_validity = np.ones((2 * n, 1))
 
-optimizer = AdamState.for_params([net.flat_parameters()], 0.01)
+optimizer = AdamState.for_params(net.flat_parameters(), 0.01)
 layer_rng = np.random.default_rng(7)
 for step in range(60):
     (v, y), cache = net.forward([toy_x], TRAIN, rng=layer_rng)
@@ -88,7 +88,7 @@ for step in range(60):
         0.0, 1.0,  # classification only
     )
     g = net.backward(cache, comp.gradient)
-    adam_step(optimizer, [net.flat_parameters()], [g.flat()])
+    adam_step(optimizer, net.flat_parameters(), g.flat())
     if step % 20 == 0 or step == 59:
         print(f"step {step:3d}: loss {comp.scalar:.4f}")
 

@@ -3,73 +3,8 @@
 The package bundles a small dense-network engine with manual
 backpropagation, the two-stage adversarial training loop, a data pipeline
 for gesture-feature datasets, and the distance/threshold/ROC evaluation
-harness, plus a CLI that drives the whole experiment matrix.
+harness, plus a CLI that drives the whole experiment matrix. Import each
+name from its submodule (``stgan_nd.gan``, ``stgan_nd.nn`` and so on).
 """
-
-from .data import (
-    Dataset,
-    HoldOut,
-    SplitAssignment,
-    Standardizer,
-    extract_features,
-    extract_features_dataset,
-    fit_standardizer,
-    hold_out_novel,
-    load_dataset,
-    one_hot,
-    one_hot_batch,
-    save_dataset,
-    split_dataset,
-    standardize,
-    stochastic_target,
-    stochastic_target_batch,
-)
-from .errors import DataError, NumericError, ShapeError, SpecError, StateError, StganError
-from .evaluate import (
-    Decision,
-    DistanceReport,
-    EvalReport,
-    classify_with_threshold,
-    compute_gca_nda,
-    distance_report,
-    generation_spread,
-    novelty_scores,
-    pairwise_set_distance,
-    roc_auc,
-    tune_threshold,
-)
-from .gan import (
-    BaselineConfig,
-    GanBundle,
-    GanConfig,
-    TrainView,
-    augment_offline,
-    build_discriminator,
-    build_generator,
-    generate_samples,
-    sample_class_indices,
-    sample_noise,
-    train_baseline,
-    train_discriminator_step,
-    train_gan,
-    train_generator_step,
-)
-from .nn import (
-    AdamState,
-    INFER,
-    TRAIN,
-    LayerSpec,
-    LossValue,
-    Network,
-    NetworkSpec,
-    adam_step,
-    binary_cross_entropy,
-    categorical_cross_entropy,
-    composite_loss,
-    init_network,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .synth import SynthSpec, class_feature_stats, gaussian_baseline_sampler, make_synthetic_dataset
 
 __version__ = "0.1.0"

@@ -71,6 +71,10 @@ class RunConfig:
     baseline: dict
     seed: int
 
+    def __post_init__(self):
+        if self.synth is not None and self.channels is not None:
+            raise SpecError("--channels applies to --dataset only, not to --synth-spec")
+
     def to_manifest(self) -> dict:
         return asdict(self)
 
@@ -81,7 +85,16 @@ class RunConfig:
         missing = [k for k in _CONFIG_FIELDS if k not in payload]
         if missing:
             raise DataError(f"manifest lacks {', '.join(missing)}")
-        config = cls(**{k: payload[k] for k in _CONFIG_FIELDS})
+        values = {k: payload[k] for k in _CONFIG_FIELDS}
+        gan = values["gan"]
+        # manifests of earlier versions record real_targets_stochastic, an
+        # option whose one remaining setting is true
+        if isinstance(gan, dict) and "real_targets_stochastic" in gan:
+            if gan["real_targets_stochastic"] is not True:
+                raise DataError("manifest trains with one-hot real targets "
+                                "(real_targets_stochastic false), which is not supported")
+            values["gan"] = {k: v for k, v in gan.items() if k != "real_targets_stochastic"}
+        config = cls(**values)
         try:
             config.gan_config()
             config.baseline_config()
@@ -145,7 +158,8 @@ def _add_data_args(p: _Parser) -> None:
                    help="synthesize a dataset: classes,samples-per-class,features")
     p.add_argument("--synth-seed", type=int, default=0,
                    help="seed of the synthetic dataset itself (default 0)")
-    p.add_argument("--channels", help="comma-separated channel indices to keep")
+    p.add_argument("--channels",
+                   help="comma-separated channel indices of --dataset to keep")
     p.add_argument("--novel-classes",
                    help="comma-separated class labels held out as novel")
 
@@ -224,7 +238,7 @@ def _resolve_synth(args) -> dict | None:
 def _run_config_from_args(args) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     preset = getattr(args, "preset", "dualmyo")
-    gan = GanConfig.uc2017(seed=seed) if preset == "uc2017" else GanConfig.dualmyo(seed=seed)
+    gan = GanConfig.uc2017(seed=seed) if preset == "uc2017" else GanConfig(seed=seed)
     overrides = {}
     for flag, field_name in (
         ("epochs", "epochs"), ("batch_size", "batch_size"), ("latent_size", "latent_size"),
@@ -288,6 +302,7 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
     the same GAN again.
     """
     out.mkdir(parents=True, exist_ok=True)
+    _remove_run_files(out)
     _write_manifest(config, out)
     bundle, gan_dir = gan if gan is not None else (None, None)
     model = train_variant(
@@ -309,6 +324,14 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
     save_checkpoint(out / "discriminator.json", model.network, rng_seed=config.seed)
     print(f"{config.variant}: trained, outputs in {out}")
     return model
+
+
+def _remove_run_files(out: Path) -> None:
+    """Delete the files an earlier run wrote in ``out`` that this run may
+    not overwrite: its generator, losses, ROC and periodic checkpoints."""
+    names = ("generator.json", "losses.csv", "retrain_losses.csv", "roc.csv")
+    for path in [out / name for name in names] + list(out.glob("checkpoints/*_e*.json")):
+        path.unlink(missing_ok=True)
 
 
 def _copy_gan_files(bundle: GanBundle, source: Path, out: Path) -> None:

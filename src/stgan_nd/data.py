@@ -16,9 +16,6 @@ import numpy as np
 from .errors import DataError, SpecError
 from .rng import substream
 
-REAL_CSV = "real_csv"
-SYNTHETIC = "synthetic"
-
 TRAIN, VAL, TEST = 0, 1, 2
 _SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
 
@@ -30,8 +27,6 @@ class Dataset:
 
     samples: np.ndarray | list[np.ndarray]
     labels: np.ndarray
-    class_names: list[str] | None = None
-    provenance: str = REAL_CSV
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
@@ -143,7 +138,7 @@ def load_dataset(path, channels: list[int] | None = None) -> Dataset:
     if np.any(labels != np.round(labels)):
         raise DataError(f"{path}: labels must be integers")
     features = _select_channels(features, channels, path)
-    return Dataset(features, labels.astype(int), provenance=REAL_CSV)
+    return Dataset(features, labels.astype(int))
 
 
 def _select_channels(matrix: np.ndarray, channels: list[int] | None, path) -> np.ndarray:
@@ -178,7 +173,7 @@ def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
             labels.append(int(label))
     if not samples:
         raise DataError(f"{path}: manifest lists no samples")
-    return Dataset(samples, np.array(labels), provenance=REAL_CSV)
+    return Dataset(samples, np.array(labels))
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -205,23 +200,15 @@ def extract_features_dataset(ds: Dataset) -> Dataset:
     if not ds.is_raw:
         return ds
     features = np.stack([extract_features(s) for s in ds.samples])
-    return Dataset(features, ds.labels.copy(), ds.class_names, ds.provenance)
+    return Dataset(features, ds.labels.copy())
 
 
-def split_dataset(ds: Dataset, seed: int, novel_classes=()) -> SplitAssignment:
-    """Stratified 60/20/20 split, deterministic in (dataset, seed).
-
-    Classes listed in ``novel_classes`` are assigned entirely to the test
-    split so they can never leak into fitting.
-    """
-    novel = set(int(c) for c in novel_classes)
+def split_dataset(ds: Dataset, seed: int) -> SplitAssignment:
+    """Stratified 60/20/20 split, deterministic in (dataset, seed)."""
     rng = substream(seed, "split")
     tags = np.empty(ds.n_samples, dtype=np.int8)
     for cls in sorted(set(ds.labels.tolist())):
         idx = np.flatnonzero(ds.labels == cls)
-        if cls in novel:
-            tags[idx] = TEST
-            continue
         n = idx.size
         if n < 5:
             raise DataError(f"class {cls} has only {n} samples; need at least 5")
@@ -275,10 +262,6 @@ def fit_standardizer(train_features: np.ndarray) -> Standardizer:
     return Standardizer(mean=mean, std=std)
 
 
-def standardize(features: np.ndarray, standardizer: Standardizer) -> np.ndarray:
-    return standardizer.transform(features)
-
-
 def one_hot(label: int, n_classes: int) -> np.ndarray:
     label = int(label)
     if not 0 <= label < n_classes:
@@ -298,30 +281,26 @@ def one_hot_batch(labels, n_classes: int) -> np.ndarray:
 
 
 def stochastic_target(label: int, n_classes: int, p_prime: float) -> np.ndarray:
-    """Target with value p' at the true class, the rest spread uniformly.
-
-    p' must exceed 1/n_classes so the encoded class stays the argmax.
-    """
-    label = int(label)
-    if not 0 <= label < n_classes:
-        raise SpecError(f"class index {label} outside [0, {n_classes})")
-    if not 1.0 / n_classes < p_prime <= 1.0:
-        raise SpecError(
-            f"p' must lie in (1/{n_classes}, 1], got {p_prime}"
-        )
-    vec = np.full(n_classes, (1.0 - p_prime) / (n_classes - 1))
-    vec[label] = p_prime
-    return vec
+    """Target with value p' at the true class, the rest spread uniformly."""
+    return stochastic_target_batch([label], n_classes, [p_prime])[0]
 
 
 def stochastic_target_batch(labels, n_classes: int, p_primes) -> np.ndarray:
+    """One stochastic target per label, with its own peak p'.
+
+    p' must lie in (1/n_classes, 1] and exceed the off-peak value it
+    leaves, so that the encoded class stays the strict argmax (a p' within
+    rounding of 1/n_classes does not).
+    """
     labels = np.asarray(labels, dtype=int)
     p_primes = np.broadcast_to(np.asarray(p_primes, dtype=float), labels.shape)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise SpecError(f"class indices outside [0, {n_classes})")
-    if np.any(p_primes <= 1.0 / n_classes) or np.any(p_primes > 1.0):
-        raise SpecError(f"p' values must lie in (1/{n_classes}, 1]")
     rest = (1.0 - p_primes) / (n_classes - 1)
+    if np.any(p_primes <= 1.0 / n_classes) or np.any(p_primes > 1.0) or np.any(rest >= p_primes):
+        raise SpecError(
+            f"p' values must lie in (1/{n_classes}, 1] and exceed (1 - p') / {n_classes - 1}"
+        )
     out = np.repeat(rest[:, None], n_classes, axis=1)
     out[np.arange(labels.size), labels] = p_primes
     return out
@@ -361,9 +340,6 @@ def hold_out_novel(ds: Dataset, novel_classes) -> HoldOut:
         return ds.samples[mask]
 
     trained_labels = np.array([class_map[l] for l in ds.labels[trained_mask]])
-    names = None
-    if ds.class_names is not None:
-        names = [ds.class_names[old] for old in kept]
-    trained = Dataset(take(trained_mask), trained_labels, names, ds.provenance)
-    novel_ds = Dataset(take(~trained_mask), ds.labels[~trained_mask], ds.class_names, ds.provenance)
+    trained = Dataset(take(trained_mask), trained_labels)
+    novel_ds = Dataset(take(~trained_mask), ds.labels[~trained_mask])
     return HoldOut(trained=trained, novel=novel_ds, class_map=class_map)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,7 +170,6 @@ class EvalReport:
     mean_weighted: float
     tau: float
     counts: ConfusionCounts
-    roc_points: list[tuple[float, float, float]] | None = None
     auc: float | None = None
 
     def to_dict(self) -> dict:

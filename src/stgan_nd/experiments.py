@@ -3,7 +3,7 @@ variants, evaluation tables, and distance reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .gan import (
     BaselineConfig,
     GanBundle,
     GanConfig,
-    TrainView,
     augment_offline,
     generate_samples,
     train_baseline,
@@ -122,14 +121,14 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
         raise SpecError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
     if variant == "baseline_a":
-        cfg = _replace(baseline_config, stochastic=False)
+        cfg = replace(baseline_config, stochastic=False)
         net, history = train_baseline(
             prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes, cfg
         )
         return TrainedModel(variant, net, None, history)
 
     if variant == "test_1a":
-        cfg = _replace(baseline_config, stochastic=True)
+        cfg = replace(baseline_config, stochastic=True)
         net, history = train_baseline(
             prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes, cfg
         )
@@ -145,27 +144,20 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
     # test_3: offline augmentation, then supervised retraining with
     # stochastic targets in the GAN's peak range
     augment_rng = substream(gan_config.seed, "augment")
-    view = augment_offline(
-        TrainView.real(prep.x_train, prep.y_train),
-        bundle.generator, 0.5, gan_config, augment_rng,
+    x_train, y_train = augment_offline(
+        (prep.x_train, prep.y_train), bundle.generator, 0.5, gan_config, augment_rng,
     )
-    cfg = _replace(
+    cfg = replace(
         baseline_config,
         stochastic=True,
         p_low=gan_config.stochastic_p_low,
         p_high=gan_config.stochastic_p_high,
     )
     net, history = train_baseline(
-        view.features, view.labels, prep.x_val, prep.y_val,
+        x_train, y_train, prep.x_val, prep.y_val,
         prep.n_classes, cfg, initial=clone_network(bundle.discriminator),
     )
     return TrainedModel(variant, net, bundle, history)
-
-
-def _replace(config: BaselineConfig, **changes) -> BaselineConfig:
-    values = vars(config).copy()
-    values.update(changes)
-    return BaselineConfig(**values)
 
 
 @dataclass
@@ -190,7 +182,6 @@ def evaluate_model(net: Network, prep: PreparedData, target_gcas,
         _, report = tune_threshold(class_probs, truths, target)
         rows.append(report)
     points, auc = roc_auc(novelty_scores(class_probs), [t is None for t in truths])
-    rows[0].roc_points = points
     rows[0].auc = auc
     return VariantEvaluation(
         variant=variant, rows=rows, targets=list(target_gcas),
@@ -199,15 +190,14 @@ def evaluate_model(net: Network, prep: PreparedData, target_gcas,
 
 
 def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
-                    n_generated: int | None = None,
-                    stochastic_p: tuple[float, float] | None = (0.9, 1.0)) -> DistanceReport:
+                    n_generated: int | None = None) -> DistanceReport:
     """Per-class baseline/GAN/random distance statistics in raw feature units.
 
     Real sets are all samples of each trained class. Generated samples are
-    inverse-standardized; by default their class conditioning uses the same
-    stochastic-peak range the generator was trained with (``stochastic_p``
-    of None conditions on plain one-hot vectors). Random samples are drawn
-    from per-class Gaussian fits of the real data.
+    inverse-standardized; their class conditioning draws its peaks from the
+    default ``GanConfig`` stochastic-peak range, which the generator is
+    trained with. Random samples are drawn from per-class Gaussian fits of
+    the real data.
     """
     labels = prep.hold_out.trained.labels
     real_by_class = {
@@ -222,14 +212,9 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
         generated_by_class = {}
         for cls in range(prep.n_classes):
             n = n_generated or len(real_by_class[cls])
-            if stochastic_p is None:
-                samples = generate_samples(generator, cls, n, rng)
-            else:
-                peaks = rng.uniform(stochastic_p[0], stochastic_p[1], n)
-                targets = D.stochastic_target_batch(
-                    np.full(n, cls), prep.n_classes, peaks
-                )
-                samples = generate_samples(generator, targets, n, rng)
+            peaks = rng.uniform(GanConfig.stochastic_p_low, GanConfig.stochastic_p_high, n)
+            targets = D.stochastic_target_batch(np.full(n, cls), prep.n_classes, peaks)
+            samples = generate_samples(generator, targets, n, rng)
             generated_by_class[cls] = prep.standardizer.inverse(samples)
     random_by_class = {
         cls: gaussian_baseline_sampler(stats[cls][0], stats[cls][1],

@@ -69,7 +69,6 @@ class GanConfig:
     d_class_weight: float = 1.0
     stochastic_p_low: float = 0.9
     stochastic_p_high: float = 1.0
-    real_targets_stochastic: bool = True
     checkpoint_every: int = 50
     seed: int = 0
 
@@ -88,10 +87,6 @@ class GanConfig:
             raise SpecError("checkpoint_every must be positive")
         if self.seed < 0:
             raise SpecError("seed must be non-negative")
-
-    @classmethod
-    def dualmyo(cls, **overrides) -> "GanConfig":
-        return cls(**overrides)
 
     @classmethod
     def uc2017(cls, **overrides) -> "GanConfig":
@@ -148,21 +143,6 @@ class GanBundle:
     checkpoints: list[Path] = field(default_factory=list)  # periodic files written
 
 
-@dataclass
-class TrainView:
-    """Feature rows with labels; source flag is 1 for real, 0 for generated."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    source: np.ndarray
-
-    @classmethod
-    def real(cls, features, labels) -> "TrainView":
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        return cls(features, labels, np.ones(len(labels), dtype=int))
-
-
 def build_generator(n_features: int, n_classes: int, latent_size: int, seed: int) -> Network:
     """Noise + target-vector input, two 256-node hidden blocks, linear output."""
     spec = NetworkSpec(
@@ -205,16 +185,13 @@ def _discriminator_n_classes(disc: Network) -> int:
     return disc.spec.output_heads[1][0]
 
 
-def _sample_generator_batch(generator, n, n_classes, config, noise_rng, layer_rng,
-                            update_stats):
+def _sample_generator_batch(generator, n, n_classes, config, noise_rng, layer_rng):
     """Draw (z, stochastic targets), run the generator in train mode."""
     z = sample_noise(n, generator.spec.input_widths[0], noise_rng)
     classes = sample_class_indices(n, n_classes, noise_rng)
     p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
     targets = stochastic_target_batch(classes, n_classes, p)
-    (fake,), cache = generator.forward(
-        [z, targets], TRAIN, rng=layer_rng, update_stats=update_stats
-    )
+    (fake,), cache = generator.forward([z, targets], TRAIN, rng=layer_rng)
     return fake, targets, classes, cache
 
 
@@ -237,13 +214,10 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
     n_classes = _discriminator_n_classes(disc)
 
     fake_x, fake_targets, _, _ = _sample_generator_batch(
-        bundle.generator, n, n_classes, config, noise_rng, layer_rng, update_stats=True
+        bundle.generator, n, n_classes, config, noise_rng, layer_rng
     )
-    if config.real_targets_stochastic:
-        p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
-        real_targets = stochastic_target_batch(real_labels, n_classes, p)
-    else:
-        real_targets = one_hot_batch(real_labels, n_classes)
+    p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
+    real_targets = stochastic_target_batch(real_labels, n_classes, p)
 
     x = np.concatenate([real_x, fake_x])
     validity_target = np.concatenate([np.ones((n, 1)), np.zeros((n, 1))])
@@ -256,7 +230,7 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
         validity_loss, class_loss, config.d_validity_weight, config.d_class_weight
     )
     grads = disc.backward(cache, total.gradient)
-    adam_step(bundle.adam_d, [disc.flat_parameters()], [grads.flat()])
+    adam_step(bundle.adam_d, disc.flat_parameters(), grads.flat())
     return {
         "d_loss": total.scalar,
         "d_validity": validity_loss.scalar,
@@ -276,7 +250,7 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     n = config.batch_size
 
     fake_x, targets, _, gen_cache = _sample_generator_batch(
-        bundle.generator, n, n_classes, config, noise_rng, layer_rng, update_stats=True
+        bundle.generator, n, n_classes, config, noise_rng, layer_rng
     )
     (validity, class_probs), disc_cache = disc.forward(
         [fake_x], TRAIN, rng=layer_rng, update_stats=False
@@ -288,7 +262,7 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     )
     disc_grads = disc.backward(disc_cache, total.gradient, input_only=True)
     gen_grads = bundle.generator.backward(gen_cache, [disc_grads.inputs[0]])
-    adam_step(bundle.adam_g, [bundle.generator.flat_parameters()], [gen_grads.flat()])
+    adam_step(bundle.adam_g, bundle.generator.flat_parameters(), gen_grads.flat())
     return {
         "g_loss": total.scalar,
         "g_validity": validity_loss.scalar,
@@ -320,11 +294,11 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
         generator=generator,
         discriminator=discriminator,
         adam_g=AdamState.for_params(
-            [generator.flat_parameters()], config.lr_g,
+            generator.flat_parameters(), config.lr_g,
             beta1=config.adam_beta1, beta2=config.adam_beta2, decay=config.decay_g,
         ),
         adam_d=AdamState.for_params(
-            [discriminator.flat_parameters()], config.lr_d,
+            discriminator.flat_parameters(), config.lr_d,
             beta1=config.adam_beta1, beta2=config.adam_beta2, decay=config.decay_d,
         ),
     )
@@ -371,10 +345,9 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
     return bundle
 
 
-def generate_samples(generator: Network, target, n: int, rng: np.random.Generator,
-                     mode: str = INFER) -> np.ndarray:
-    """Generate n feature rows for a class index, a target vector or an
-    (n, n_classes) matrix of per-row targets.
+def generate_samples(generator: Network, target, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Generate n feature rows, in inference mode, for a class index, a
+    target vector or an (n, n_classes) matrix of per-row targets.
 
     Passing a full target vector permits mixtures that no trained class
     produces (the "invented class" use case). Rows come out in the
@@ -395,34 +368,32 @@ def generate_samples(generator: Network, target, n: int, rng: np.random.Generato
     elif targets.shape != (n, n_classes):
         raise ShapeError(f"targets must have shape ({n_classes},) or ({n}, {n_classes})")
     z = sample_noise(n, latent_size, rng)
-    layer_rng = rng if mode == TRAIN else None
-    (out,), _ = generator.forward([z, targets], mode, rng=layer_rng, update_stats=False)
+    (out,), _ = generator.forward([z, targets], INFER)
     return out
 
 
-def augment_offline(view: TrainView, generator: Network, fraction: float,
-                    config: GanConfig, rng: np.random.Generator) -> TrainView:
-    """Append round(fraction * n) generated rows to a training view.
+def augment_offline(train, generator: Network, fraction: float, config: GanConfig,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Append round(fraction * n) generated rows to a (features, labels) pair.
 
-    Generated rows get uniformly sampled classes, stochastic input targets
-    drawn from the config range, and source flag 0.
+    Generated rows follow the real ones and get uniformly sampled classes
+    and stochastic input targets drawn from the config range. Returns the
+    augmented (features, labels) pair as new arrays.
     """
+    features = np.asarray(train[0], dtype=float)
+    labels = np.asarray(train[1], dtype=int)
     if fraction < 0:
         raise SpecError("fraction must be non-negative")
-    n_new = int(round(fraction * len(view.labels)))
+    n_new = int(round(fraction * len(labels)))
     if n_new == 0:
-        return TrainView(view.features.copy(), view.labels.copy(), view.source.copy())
+        return features.copy(), labels.copy()
     latent_size, n_classes = generator.spec.input_widths
     classes = sample_class_indices(n_new, n_classes, rng)
     p = rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n_new)
     targets = stochastic_target_batch(classes, n_classes, p)
     z = sample_noise(n_new, latent_size, rng)
-    (fake,), _ = generator.forward([z, targets], INFER, update_stats=False)
-    return TrainView(
-        features=np.concatenate([view.features, fake]),
-        labels=np.concatenate([view.labels, classes]),
-        source=np.concatenate([view.source, np.zeros(n_new, dtype=int)]),
-    )
+    (fake,), _ = generator.forward([z, targets], INFER)
+    return np.concatenate([features, fake]), np.concatenate([labels, classes])
 
 
 def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
@@ -452,7 +423,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
     else:
         net = initial
     optimizer = AdamState.for_params(
-        [net.flat_parameters()], config.learning_rate,
+        net.flat_parameters(), config.learning_rate,
         beta1=config.adam_beta1, beta2=config.adam_beta2,
     )
 
@@ -483,7 +454,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
                 loss = categorical_cross_entropy(class_probs, train_targets[idx])
                 zero_validity = np.zeros((idx.size, 1))
                 grads = net.backward(cache, [zero_validity, loss.gradient])
-                adam_step(optimizer, [net.flat_parameters()], [grads.flat()])
+                adam_step(optimizer, net.flat_parameters(), grads.flat())
                 epoch_loss += loss.scalar * idx.size
             (_, val_probs), _ = net.forward([x_val], INFER)
             val_loss = categorical_cross_entropy(val_probs, val_targets).scalar

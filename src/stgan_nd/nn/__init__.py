@@ -22,32 +22,3 @@ from .specs import (
     sigmoid,
     softmax,
 )
-
-__all__ = [
-    "AdamState",
-    "adam_step",
-    "load_checkpoint",
-    "save_checkpoint",
-    "INFER",
-    "TRAIN",
-    "LossValue",
-    "binary_cross_entropy",
-    "categorical_cross_entropy",
-    "composite_loss",
-    "Gradients",
-    "Network",
-    "clone_network",
-    "clone_parameters",
-    "init_network",
-    "restore_parameters",
-    "LayerSpec",
-    "NetworkSpec",
-    "batch_norm",
-    "dense",
-    "dropout",
-    "gaussian_noise",
-    "linear",
-    "relu",
-    "sigmoid",
-    "softmax",
-]

@@ -11,25 +11,28 @@ from ..errors import NumericError, ShapeError
 
 @dataclass
 class AdamState:
+    """Hyperparameters and moment estimates of one parameter vector."""
+
     learning_rate: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     decay: float = 0.0
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
-    # work space of adam_step, as large as the largest parameter array;
-    # not part of the optimizer's state and not saved in checkpoints
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # work space of adam_step; not part of the optimizer's state and not
+    # saved in checkpoints
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.first_moment)
 
     @classmethod
-    def for_params(cls, params, learning_rate, beta1=0.9, beta2=0.999,
+    def for_params(cls, param, learning_rate, beta1=0.9, beta2=0.999,
                    epsilon=1e-8, decay=0.0) -> "AdamState":
-        state = cls(learning_rate, beta1, beta2, epsilon, decay)
-        state.first_moment = [np.zeros_like(p) for p in params]
-        state.second_moment = [np.zeros_like(p) for p in params]
-        return state
+        return cls(learning_rate, np.zeros_like(param), np.zeros_like(param),
+                   beta1, beta2, epsilon, decay)
 
 
 def _all_finite(g: np.ndarray) -> bool:
@@ -42,36 +45,22 @@ def _all_finite(g: np.ndarray) -> bool:
     return bool(np.isfinite(g).all())
 
 
-def adam_step(state: AdamState, params, grads, weight_l2: float = 0.0) -> None:
-    """Apply one Adam update to ``params`` in place.
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> None:
+    """Apply one Adam update to ``param`` in place.
 
     The effective learning rate is lr / (1 + decay * step_count), with
-    step_count taken before the update. ``weight_l2`` adds an L2 penalty
-    gradient `lambda * w` before the moment update. NaN or inf gradients
-    raise NumericError and leave parameters and state untouched.
-
-    Without ``weight_l2``, every array operation writes into the
-    parameters, the moments or ``state.scratch``, so a step allocates no
-    array once the scratch space exists.
+    step_count taken before the update. NaN or inf gradients raise
+    NumericError and leave parameters and state untouched. Every array
+    operation writes into the parameters, the moments or ``state.scratch``,
+    so a step allocates no array.
     """
-    if len(params) != len(grads):
-        raise ShapeError("params and grads differ in length")
-    if not state.first_moment:
-        state.first_moment = [np.zeros_like(p) for p in params]
-        state.second_moment = [np.zeros_like(p) for p in params]
-    if len(state.first_moment) != len(params):
-        raise ShapeError("optimizer state does not match parameter list")
-    for p, g, m in zip(params, grads, state.first_moment):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(
-                f"shape mismatch: param {p.shape}, grad {g.shape}, moment {m.shape}"
-            )
-    for g in grads:
-        if not _all_finite(g):
-            raise NumericError("non-finite gradient passed to adam_step")
-    largest = max((p.size for p in params), default=0)
-    if state.scratch is None or state.scratch.size < largest:
-        state.scratch = np.empty(largest)
+    m, v, s = state.first_moment, state.second_moment, state.scratch
+    if param.shape != grad.shape or param.shape != m.shape:
+        raise ShapeError(
+            f"shape mismatch: param {param.shape}, grad {grad.shape}, moment {m.shape}"
+        )
+    if not _all_finite(grad):
+        raise NumericError("non-finite gradient passed to adam_step")
 
     lr = state.learning_rate / (1.0 + state.decay * state.step_count)
     t = state.step_count + 1
@@ -81,20 +70,16 @@ def adam_step(state: AdamState, params, grads, weight_l2: float = 0.0) -> None:
     # but with the bias corrections folded into two scalars
     alpha = lr * np.sqrt(bias2) / bias1
     eps_hat = state.epsilon * np.sqrt(bias2)
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if weight_l2 != 0.0:
-            g = g + weight_l2 * p
-        s = state.scratch[:p.size].reshape(p.shape)
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=s)
-        m += s
-        v *= state.beta2
-        np.square(g, out=s)
-        s *= 1.0 - state.beta2
-        v += s
-        np.sqrt(v, out=s)
-        s += eps_hat
-        np.divide(m, s, out=s)
-        s *= alpha
-        p -= s
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=s)
+    m += s
+    v *= state.beta2
+    np.square(grad, out=s)
+    s *= 1.0 - state.beta2
+    v += s
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= alpha
+    param -= s
     state.step_count = t

@@ -30,6 +30,18 @@ def _decode_array(payload: dict) -> np.ndarray:
     return values.reshape(payload["shape"])
 
 
+def _decode_moment(entries: list, net: Network) -> np.ndarray:
+    if len(entries) != 1:
+        raise DataError(f"optimizer moment holds {len(entries)} arrays, expected 1")
+    moment = _decode_array(entries[0])
+    if moment.shape != net.flat_parameters().shape:
+        raise DataError(
+            f"optimizer moment has shape {moment.shape}, "
+            f"expected {net.flat_parameters().shape}"
+        )
+    return moment
+
+
 def _layer_arrays(layer) -> dict:
     if isinstance(layer, L.Dense):
         return {"weight": layer.weight, "bias": layer.bias}
@@ -88,8 +100,9 @@ def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
             "epsilon": repr(float(optimizer.epsilon)),
             "decay": repr(float(optimizer.decay)),
             "step_count": optimizer.step_count,
-            "first_moment": [_encode_array(m) for m in optimizer.first_moment],
-            "second_moment": [_encode_array(v) for v in optimizer.second_moment],
+            # each moment is a one-element list, as in files of earlier versions
+            "first_moment": [_encode_array(optimizer.first_moment)],
+            "second_moment": [_encode_array(optimizer.second_moment)],
         }
     Path(path).write_text(json.dumps(doc, indent=1))
 
@@ -119,13 +132,13 @@ def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:
         opt = doc["optimizer"]
         optimizer = AdamState(
             learning_rate=float(opt["learning_rate"]),
+            first_moment=_decode_moment(opt["first_moment"], net),
+            second_moment=_decode_moment(opt["second_moment"], net),
             beta1=float(opt["beta1"]),
             beta2=float(opt["beta2"]),
             epsilon=float(opt["epsilon"]),
             decay=float(opt["decay"]),
             step_count=int(opt["step_count"]),
-            first_moment=[_decode_array(m) for m in opt["first_moment"]],
-            second_moment=[_decode_array(v) for v in opt["second_moment"]],
         )
     seed = doc.get("rng_seed")
     return net, optimizer, seed

@@ -61,7 +61,6 @@ class Network:
         self.spec = spec
         self.trunk = trunk
         self.heads = heads
-        self.mode = TRAIN
         # (offset, size, shape) of each parameter of each layer in the flat buffer
         self._layout: dict[Layer, list[tuple[int, int, tuple]]] = {}
         self._flat = self._flatten_into_buffer()
@@ -114,15 +113,13 @@ class Network:
     def batch_norm_layers(self) -> list[L.BatchNorm]:
         return [layer for layer in self.trunk if isinstance(layer, L.BatchNorm)]
 
-    def forward(self, inputs, mode=None, rng=None, update_stats=True):
-        """Run the network on a batch.
+    def forward(self, inputs, mode, rng=None, update_stats=True):
+        """Run the network on a batch in ``mode`` (TRAIN or INFER).
 
         ``inputs`` is one matrix per input head (a bare matrix is accepted
         for single-input networks). Returns ``(head_outputs, cache)``; the
         cache is only usable for ``backward`` when mode is train.
         """
-        if mode is None:
-            mode = self.mode
         if mode not in (TRAIN, INFER):
             raise SpecError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
         if isinstance(inputs, np.ndarray):

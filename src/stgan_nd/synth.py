@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SYNTHETIC, Dataset
+from .data import Dataset
 from .errors import SpecError
 
 
@@ -92,8 +92,7 @@ def make_synthetic_dataset(spec: SynthSpec) -> Dataset:
         features[lo:lo + spec.samples_per_class] = block
         labels[lo:lo + spec.samples_per_class] = cls
 
-    names = [f"class_{c}" for c in range(spec.n_classes)]
-    return Dataset(features, labels, names, provenance=SYNTHETIC)
+    return Dataset(features, labels)
 
 
 def class_feature_stats(features: np.ndarray, labels) -> dict[int, tuple[np.ndarray, np.ndarray]]:

@@ -144,16 +144,16 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_adam_oracle():
     lr, beta1, beta2, eps = 0.003, 0.5, 0.999, 1e-8
-    params = [np.array([0.25]), np.array([-1.0])]
-    grads = [np.array([0.8]), np.array([-0.1])]
-    state = AdamState.for_params(params, lr, beta1=beta1, beta2=beta2, epsilon=eps)
-    adam_step(state, params, grads)
+    param = np.array([0.25, -1.0])
+    grad = np.array([0.8, -0.1])
+    state = AdamState.for_params(param, lr, beta1=beta1, beta2=beta2, epsilon=eps)
+    adam_step(state, param, grad)
     worst = 0.0
-    for p, g, w0 in zip(params, grads, (0.25, -1.0)):
-        m = (1 - beta1) * g[0]
-        v = (1 - beta2) * g[0] ** 2
+    for p, g, w0 in zip(param, grad, (0.25, -1.0)):
+        m = (1 - beta1) * g
+        v = (1 - beta2) * g ** 2
         expected = w0 - lr * (m / (1 - beta1)) / (math.sqrt(v / (1 - beta2)) + eps)
-        worst = max(worst, abs(p[0] - expected))
+        worst = max(worst, abs(p - expected))
     report(2, worst < 1e-10, f"hand-computed single step, max |diff| {worst:.2e}")
 
 

@@ -17,124 +17,108 @@ def reference_update(w, g, lr, beta1, beta2, eps, m, v, t):
 
 
 def test_first_step_matches_hand_computation():
-    params = [np.array([0.0])]
-    grads = [np.array([1.0])]
-    state = AdamState.for_params(params, 0.001, beta1=0.5, beta2=0.999)
-    adam_step(state, params, grads)
+    param = np.array([0.0])
+    state = AdamState.for_params(param, 0.001, beta1=0.5, beta2=0.999)
+    adam_step(state, param, np.array([1.0]))
     expected, _, _ = reference_update(0.0, 1.0, 0.001, 0.5, 0.999, state.epsilon, 0.0, 0.0, 1)
-    assert abs(params[0][0] - expected) < 1e-10
+    assert abs(param[0] - expected) < 1e-10
     # bias correction puts the first move at almost exactly -lr
-    assert abs(params[0][0] + 0.001) < 1e-9
+    assert abs(param[0] + 0.001) < 1e-9
     assert state.step_count == 1
 
 
 def test_multiple_steps_match_reference():
-    params = [np.array([0.3])]
-    state = AdamState.for_params(params, 0.01, beta1=0.5, beta2=0.9)
+    param = np.array([0.3])
+    state = AdamState.for_params(param, 0.01, beta1=0.5, beta2=0.9)
     w, m, v = 0.3, 0.0, 0.0
     rng = np.random.default_rng(0)
     for t in range(1, 30):
         g = float(rng.standard_normal())
-        adam_step(state, params, [np.array([g])])
+        adam_step(state, param, np.array([g]))
         w, m, v = reference_update(w, g, 0.01, 0.5, 0.9, state.epsilon, m, v, t)
-        assert abs(params[0][0] - w) < 1e-10
+        assert abs(param[0] - w) < 1e-10
 
 
 def test_zero_gradient_is_fixed_point():
-    params = [np.array([1.5, -2.0]), np.array([[0.25]])]
-    state = AdamState.for_params(params, 0.01)
-    before = [p.copy() for p in params]
+    param = np.array([1.5, -2.0, 0.25])
+    state = AdamState.for_params(param, 0.01)
     for _ in range(5):
-        adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    for p, q in zip(params, before):
-        np.testing.assert_array_equal(p, q)
+        adam_step(state, param, np.zeros(3))
+    np.testing.assert_array_equal(param, [1.5, -2.0, 0.25])
 
 
 def test_learning_rate_decay_halves_after_many_steps():
     # decay 1e-6 after 1e6 completed steps scales the rate by 1/(1+1)
     def delta(decay):
-        params = [np.array([0.0])]
-        state = AdamState.for_params(params, 0.001, beta1=0.5)
+        param = np.array([0.0])
+        state = AdamState.for_params(param, 0.001, beta1=0.5)
         state.decay = decay
         state.step_count = 10 ** 6
-        adam_step(state, params, [np.array([1.0])])
-        return params[0][0]
+        adam_step(state, param, np.array([1.0]))
+        return param[0]
 
     assert abs(delta(1e-6) / delta(0.0) - 0.5) < 1e-9
 
 
-def test_weight_l2_contributes_gradient():
-    params_a = [np.array([2.0])]
-    state_a = AdamState.for_params(params_a, 0.001)
-    adam_step(state_a, params_a, [np.array([0.0])], weight_l2=0.1)
-
-    params_b = [np.array([2.0])]
-    state_b = AdamState.for_params(params_b, 0.001)
-    adam_step(state_b, params_b, [np.array([0.2])])  # lambda * w = 0.1 * 2
-    np.testing.assert_allclose(params_a[0], params_b[0])
-    # and zero lambda with zero grad stays put
-    params_c = [np.array([2.0])]
-    adam_step(AdamState.for_params(params_c, 0.001), params_c, [np.array([0.0])])
-    assert params_c[0][0] == 2.0
-
-
 def test_nan_gradient_raises_and_leaves_state_untouched():
-    params = [np.array([1.0])]
-    state = AdamState.for_params(params, 0.01)
-    adam_step(state, params, [np.array([0.5])])
-    value = params[0].copy()
-    moment = state.first_moment[0].copy()
+    param = np.array([1.0])
+    state = AdamState.for_params(param, 0.01)
+    adam_step(state, param, np.array([0.5]))
+    value = param.copy()
+    moment = state.first_moment.copy()
     with pytest.raises(NumericError):
-        adam_step(state, params, [np.array([np.nan])])
+        adam_step(state, param, np.array([np.nan]))
     with pytest.raises(NumericError):
-        adam_step(state, params, [np.array([np.inf])])
-    np.testing.assert_array_equal(params[0], value)
-    np.testing.assert_array_equal(state.first_moment[0], moment)
+        adam_step(state, param, np.array([np.inf]))
+    np.testing.assert_array_equal(param, value)
+    np.testing.assert_array_equal(state.first_moment, moment)
     assert state.step_count == 1
 
 
 def test_shape_mismatch_raises():
-    params = [np.zeros((2, 2))]
-    state = AdamState.for_params(params, 0.01)
+    param = np.zeros(4)
+    state = AdamState.for_params(param, 0.01)
     with pytest.raises(ShapeError):
-        adam_step(state, params, [np.zeros(3)])
-    with pytest.raises(ShapeError):
-        adam_step(state, params, [])
+        adam_step(state, param, np.zeros(3))
+    with pytest.raises(ShapeError):  # a parameter vector the state was not made for
+        adam_step(state, np.zeros(5), np.zeros(5))
+    assert state.step_count == 0
 
 
 def test_accumulators_mirror_parameter_shapes():
-    params = [np.zeros((4, 3)), np.zeros(3)]
-    state = AdamState.for_params(params, 0.01)
-    assert [m.shape for m in state.first_moment] == [(4, 3), (3,)]
-    assert [v.shape for v in state.second_moment] == [(4, 3), (3,)]
+    state = AdamState.for_params(np.ones(15), 0.01)
+    for array in (state.first_moment, state.second_moment, state.scratch):
+        assert array.shape == (15,)
+    np.testing.assert_array_equal(state.first_moment, 0.0)
+    np.testing.assert_array_equal(state.second_moment, 0.0)
 
 
 def test_non_finite_entries_in_a_long_vector_raise_and_leave_state_untouched():
-    params = [np.linspace(-1.0, 1.0, 1000)]
-    state = AdamState.for_params(params, 0.01)
-    adam_step(state, params, [np.full(1000, 0.5)])
-    value, moment = params[0].copy(), state.first_moment[0].copy()
+    param = np.linspace(-1.0, 1.0, 1000)
+    state = AdamState.for_params(param, 0.01)
+    adam_step(state, param, np.full(1000, 0.5))
+    value, moment = param.copy(), state.first_moment.copy()
     for bad in (np.nan, np.inf, -np.inf):
         grad = np.full(1000, 0.25)
         grad[617] = bad
         with pytest.raises(NumericError):
-            adam_step(state, params, [grad])
+            adam_step(state, param, grad)
     mixed = np.zeros(1000)
     mixed[3], mixed[4] = np.inf, -np.inf  # the sum is NaN, not inf
     with pytest.raises(NumericError):
-        adam_step(state, params, [mixed])
-    np.testing.assert_array_equal(params[0], value)
-    np.testing.assert_array_equal(state.first_moment[0], moment)
+        adam_step(state, param, mixed)
+    np.testing.assert_array_equal(param, value)
+    np.testing.assert_array_equal(state.first_moment, moment)
     assert state.step_count == 1
 
 
 def test_finite_gradient_whose_sum_overflows_is_accepted():
-    params = [np.array([1.0, -1.0])]
-    state = AdamState.for_params(params, 0.01)
+    param = np.array([1.0, -1.0])
+    state = AdamState.for_params(param, 0.01)
     with np.errstate(over="ignore"):
-        adam_step(state, params, [np.array([1e308, 1e308])])
+        adam_step(state, param, np.array([1e308, 1e308]))
     assert state.step_count == 1
-    assert np.all(np.isfinite(params[0]))
+    assert np.all(np.isfinite(param))
 
 
 def _reference_adam_step(state, p, g):
@@ -145,7 +129,7 @@ def _reference_adam_step(state, p, g):
     bias2 = 1.0 - state.beta2 ** t
     alpha = lr * np.sqrt(bias2) / bias1
     eps_hat = state.epsilon * np.sqrt(bias2)
-    m, v = state.first_moment[0], state.second_moment[0]
+    m, v = state.first_moment, state.second_moment
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
@@ -157,30 +141,29 @@ def _reference_adam_step(state, p, g):
 def test_in_place_step_is_bit_identical_to_temporaries():
     rng = np.random.default_rng(12)
     start = rng.standard_normal(5000)
-    ours, ref = [start.copy()], start.copy()
+    ours, ref = start.copy(), start.copy()
     state = AdamState.for_params(ours, 0.001, beta1=0.5, decay=1e-6)
-    ref_state = AdamState.for_params([ref], 0.001, beta1=0.5, decay=1e-6)
+    ref_state = AdamState.for_params(ref, 0.001, beta1=0.5, decay=1e-6)
     for _ in range(20):
         g = rng.standard_normal(5000) * 3.0
-        adam_step(state, ours, [g])
+        adam_step(state, ours, g)
         _reference_adam_step(ref_state, ref, g)
-    np.testing.assert_array_equal(ours[0], ref)
-    np.testing.assert_array_equal(state.second_moment[0], ref_state.second_moment[0])
+    np.testing.assert_array_equal(ours, ref)
+    np.testing.assert_array_equal(state.second_moment, ref_state.second_moment)
 
 
 def test_step_allocates_no_parameter_sized_array():
     import tracemalloc
 
-    params = [np.zeros(100_000)]
-    grads = [np.full(100_000, 0.1)]
-    state = AdamState.for_params(params, 0.001)
-    adam_step(state, params, grads)  # the first step makes the scratch space
+    param = np.zeros(100_000)
+    grad = np.full(100_000, 0.1)
+    state = AdamState.for_params(param, 0.001)  # makes the scratch space too
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        adam_step(state, params, grads)
+        adam_step(state, param, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < params[0].nbytes // 10
+    assert peak - before < param.nbytes // 10

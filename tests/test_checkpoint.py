@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgan_nd.errors import DataError
 from stgan_nd.nn import (
@@ -12,7 +15,17 @@ from stgan_nd.nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from stgan_nd.nn.specs import batch_norm, dense, dropout, gaussian_noise, relu
+from stgan_nd.nn.specs import (
+    HEAD_ACTIVATIONS,
+    batch_norm,
+    dense,
+    dropout,
+    gaussian_noise,
+    linear,
+    relu,
+    sigmoid,
+    softmax,
+)
 
 
 def _trained_net():
@@ -37,9 +50,9 @@ def test_round_trip_is_bit_identical(tmp_path):
     net.trunk[0].weight[0, 2] = -1.5e16
     net.trunk[0].bias[0] = 2.0 ** -1074  # smallest subnormal
 
-    state = AdamState.for_params([net.flat_parameters()], 0.001, beta1=0.5, decay=1e-6)
+    state = AdamState.for_params(net.flat_parameters(), 0.001, beta1=0.5, decay=1e-6)
     g = np.random.default_rng(2).standard_normal(net.flat_parameters().shape)
-    adam_step(state, [net.flat_parameters()], [g])
+    adam_step(state, net.flat_parameters(), g)
 
     path = tmp_path / "net.json"
     save_checkpoint(path, net, state, rng_seed=42)
@@ -55,8 +68,8 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert loaded_state.learning_rate == 0.001
     assert loaded_state.beta1 == 0.5
     assert loaded_state.decay == 1e-6
-    np.testing.assert_array_equal(loaded_state.first_moment[0], state.first_moment[0])
-    np.testing.assert_array_equal(loaded_state.second_moment[0], state.second_moment[0])
+    np.testing.assert_array_equal(loaded_state.first_moment, state.first_moment)
+    np.testing.assert_array_equal(loaded_state.second_moment, state.second_moment)
 
 
 def test_loaded_network_predicts_identically(tmp_path):
@@ -92,3 +105,72 @@ def test_rejects_non_checkpoint_files(tmp_path):
         load_checkpoint(path)
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "missing.json")
+
+
+def test_moment_lists_of_other_lengths_are_rejected(tmp_path):
+    net = _trained_net()
+    path = tmp_path / "net.json"
+    save_checkpoint(path, net, AdamState.for_params(net.flat_parameters(), 0.001))
+    doc = json.loads(path.read_text())
+    moment = doc["optimizer"]["first_moment"]
+    assert len(moment) == 1  # one flat vector, in a list as in earlier files
+    for entries in ([], moment * 2):
+        doc["optimizer"]["first_moment"] = entries
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="moment"):
+            load_checkpoint(path)
+
+
+# every trunk layer kind
+_LAYERS = st.one_of(
+    st.integers(1, 5).map(dense),
+    st.sampled_from([relu(), sigmoid(), softmax(), linear(), batch_norm()]),
+    st.floats(0.0, 0.5).map(gaussian_noise),
+    st.floats(0.0, 0.9).map(dropout),
+)
+
+
+@st.composite
+def _network_specs(draw):
+    inputs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    layers = draw(st.lists(_LAYERS, max_size=5))
+    heads = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(HEAD_ACTIVATIONS)),
+                          min_size=1, max_size=2))
+    return NetworkSpec(tuple(inputs), tuple(layers), tuple(heads))
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(spec=_network_specs(), seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 3))
+def test_random_spec_round_trip_is_bit_identical(tmp_path_factory, spec, seed, steps):
+    net = init_network(spec, seed)
+    rng = np.random.default_rng(seed)
+    state = AdamState.for_params(net.flat_parameters(), 0.001, beta1=0.5, decay=1e-6)
+    for _ in range(steps):  # moves the parameters, the moments and the running stats
+        inputs = [rng.standard_normal((4, w)) for w in spec.input_widths]
+        outputs, cache = net.forward(inputs, TRAIN, rng=rng)
+        grads = net.backward(cache, [rng.standard_normal(y.shape) for y in outputs])
+        adam_step(state, net.flat_parameters(), grads.flat())
+
+    directory = tmp_path_factory.mktemp("checkpoint")
+    path = directory / "net.json"
+    save_checkpoint(path, net, state, rng_seed=seed)
+    loaded, loaded_state, loaded_seed = load_checkpoint(path)
+
+    assert loaded.spec == spec and loaded_seed == seed
+    np.testing.assert_array_equal(_bits(loaded.flat_parameters()), _bits(net.flat_parameters()))
+    for a, b in zip(net.batch_norm_layers(), loaded.batch_norm_layers()):
+        np.testing.assert_array_equal(_bits(b.running_mean), _bits(a.running_mean))
+        np.testing.assert_array_equal(_bits(b.running_var), _bits(a.running_var))
+    np.testing.assert_array_equal(_bits(loaded_state.first_moment), _bits(state.first_moment))
+    np.testing.assert_array_equal(_bits(loaded_state.second_moment),
+                                  _bits(state.second_moment))
+    for name in ("learning_rate", "beta1", "beta2", "epsilon", "decay", "step_count"):
+        assert getattr(loaded_state, name) == getattr(state, name)
+
+    again = directory / "again.json"
+    save_checkpoint(again, loaded, loaded_state, rng_seed=loaded_seed)
+    assert again.read_bytes() == path.read_bytes()

@@ -377,3 +377,84 @@ def test_evaluate_trains_test_3_beside_a_reused_test_2(tmp_path, monkeypatch):
     reused_auc = json.loads((out / "report.json").read_text())[1]["auc"]
     fresh_auc = json.loads((fresh / "report.json").read_text())[0]["auc"]
     assert reused_auc == fresh_auc
+
+
+def test_train_removes_the_generator_of_an_earlier_gan_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "4",
+                   "--out", out) == 0
+    assert (out / "generator.json").exists()
+    assert run_cli("train", *GAN_SMALL, "--variant", "baseline_a", "--epochs", "2",
+                   "--out", out) == 0
+    assert not (out / "generator.json").exists()
+    # so generate cannot sample a generator of another configuration
+    code, err = _error_exit(capsys, "generate", "--model", out, "--class", "0",
+                            "--out", tmp_path / "s.csv")
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_train_removes_periodic_checkpoints_of_a_longer_run(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "50",
+                   "--out", out) == 0
+    checkpoints = out / "checkpoints"
+    assert sorted(p.name for p in checkpoints.iterdir()) == [
+        "discriminator_e0050.json", "generator_e0050.json"]
+    (checkpoints / "notes.txt").write_text("not a run file")
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
+                   "--out", out) == 0
+    assert sorted(p.name for p in checkpoints.iterdir()) == ["notes.txt"]
+
+
+def test_channels_with_synth_spec_exits_one_before_writing(tmp_path, capsys):
+    code, err = _error_exit(capsys, "train", *SMALL_DATA, "--channels", "0,1",
+                            "--variant", "baseline_a", "--epochs", "1",
+                            "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "--channels" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_manifest_with_channels_and_synth_exits_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", "--epochs", "1",
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["channels"] = [0, 1]
+    bad = tmp_path / "channels.json"
+    bad.write_text(json.dumps(manifest))
+    code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "--channels" in err
+    assert not (tmp_path / "x").exists()
+
+
+def _earlier_manifest(out: Path, real_targets_stochastic) -> dict:
+    # manifests written before the option was retired record it in "gan"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "real_targets_stochastic" not in manifest["gan"]
+    manifest["gan"]["real_targets_stochastic"] = real_targets_stochastic
+    return manifest
+
+
+def test_earlier_manifest_replays_to_the_same_files(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
+                   "--out", out) == 0
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps(_earlier_manifest(out, True), indent=1))
+    replay = tmp_path / "replay"
+    assert run_cli("train", "--manifest", earlier, "--out", replay) == 0
+    for name in ("losses.csv", "generator.json", "discriminator.json"):
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+    assert "real_targets_stochastic" not in json.loads(
+        (replay / "manifest.json").read_text())["gan"]
+
+
+def test_earlier_manifest_with_one_hot_real_targets_exits_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", "--epochs", "1",
+                   "--out", out) == 0
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps(_earlier_manifest(out, False)))
+    code, err = _error_exit(capsys, "train", "--manifest", earlier, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "real_targets_stochastic" in err
+    assert not (tmp_path / "x").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgan_nd.data import (
     Dataset,
@@ -15,7 +16,6 @@ from stgan_nd.data import (
     one_hot_batch,
     save_dataset,
     split_dataset,
-    standardize,
     stochastic_target,
     stochastic_target_batch,
 )
@@ -148,12 +148,6 @@ def test_split_rejects_tiny_classes():
         split_dataset(ds, seed=0)
 
 
-def test_split_sends_novel_classes_to_test():
-    ds = _toy_dataset(20)
-    split = split_dataset(ds, seed=1, novel_classes={2})
-    assert np.all(split.tags[ds.labels == 2] == TEST)
-
-
 # ---------------------------------------------------------------- features
 
 def test_extract_features_constant_channel_is_zero():
@@ -194,14 +188,14 @@ def test_extract_features_dataset_maps_raw():
 def test_standardizer_simple_column():
     train = np.array([[2.0], [4.0]])
     std = fit_standardizer(train)
-    np.testing.assert_allclose(standardize(train, std), [[-1.0], [1.0]])
+    np.testing.assert_allclose(std.transform(train), [[-1.0], [1.0]])
 
 
 def test_standardized_train_has_zero_mean_unit_std():
     rng = np.random.default_rng(12)
     train = rng.standard_normal((200, 6)) * 3.0 + 5.0
     std = fit_standardizer(train)
-    z = standardize(train, std)
+    z = std.transform(train)
     assert np.abs(z.mean(axis=0)).max() < 1e-9
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-9
 
@@ -211,7 +205,7 @@ def test_validation_keeps_its_own_shift():
     train = rng.standard_normal((100, 3))
     val = rng.standard_normal((100, 3)) + 2.0
     std = fit_standardizer(train)
-    assert np.abs(standardize(val, std).mean(axis=0)).min() > 0.5
+    assert np.abs(std.transform(val).mean(axis=0)).min() > 0.5
 
 
 def test_standardizer_round_trip():
@@ -271,6 +265,36 @@ def test_stochastic_target_batch_law():
     targets = stochastic_target_batch(labels, 8, p)
     assert np.abs(targets.sum(axis=1) - 1.0).max() < 1e-9
     np.testing.assert_array_equal(targets.argmax(axis=1), labels)
+
+
+@st.composite
+def _target_batches(draw):
+    n_classes = draw(st.integers(2, 30))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=20))
+    peaks = draw(st.lists(st.floats(1.0 / n_classes, 1.0, exclude_min=True),
+                          min_size=len(labels), max_size=len(labels)))
+    return n_classes, np.array(labels), np.array(peaks)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_target_batches())
+def test_stochastic_target_batch_law_over_random_batches(batch):
+    n_classes, labels, peaks = batch
+    try:
+        targets = stochastic_target_batch(labels, n_classes, peaks)
+    except SpecError:
+        # only a peak within rounding of 1/n_classes, which cannot stay the
+        # strict argmax, is refused
+        assert peaks.min() - 1.0 / n_classes < 1e-12
+        return
+    rows = np.arange(labels.size)
+    assert targets.shape == (labels.size, n_classes)
+    np.testing.assert_allclose(targets.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(targets.argmax(axis=1), labels)
+    np.testing.assert_array_equal(targets[rows, labels], peaks)
+    off_peak = targets[np.arange(n_classes)[None, :] != labels[:, None]]
+    off_peak = off_peak.reshape(labels.size, n_classes - 1)
+    np.testing.assert_array_equal(off_peak, off_peak[:, :1].repeat(n_classes - 1, axis=1))
 
 
 def test_one_hot_batch():

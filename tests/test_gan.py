@@ -9,7 +9,6 @@ from stgan_nd.evaluate import generation_spread
 from stgan_nd.gan import (
     BaselineConfig,
     GanConfig,
-    TrainView,
     augment_offline,
     build_discriminator,
     build_generator,
@@ -152,8 +151,8 @@ def test_untrained_discriminator_validity_loss_near_ln2():
     bundle = gan_module.GanBundle(
         generator=generator,
         discriminator=discriminator,
-        adam_g=AdamState.for_params([generator.flat_parameters()], config.lr_g),
-        adam_d=AdamState.for_params([discriminator.flat_parameters()], config.lr_d),
+        adam_g=AdamState.for_params(generator.flat_parameters(), config.lr_g),
+        adam_d=AdamState.for_params(discriminator.flat_parameters(), config.lr_d),
     )
     record = train_discriminator_step(
         bundle, (x[:16], y[:16]), config, np.random.default_rng(0), np.random.default_rng(1)
@@ -264,15 +263,15 @@ def test_generated_samples_do_not_collapse():
 def test_augment_offline_counts_and_flags():
     x, y = small_training_data(n_classes=4, per_class=40)
     gen = build_generator(6, 4, 3, seed=0)
-    view = TrainView.real(x, y)
     config = small_config()
     rng = np.random.default_rng(9)
-    out = augment_offline(view, gen, 0.5, config, rng)
-    assert len(out.labels) == 160 + 80
-    assert out.features.shape == (240, 6)
-    assert out.source[:160].all()
-    assert not out.source[160:].any()
-    assert out.labels[160:].max() < 4
+    features, labels = augment_offline((x, y), gen, 0.5, config, rng)
+    assert len(labels) == 160 + 80
+    assert features.shape == (240, 6)
+    # the real rows come first and unchanged, the generated ones after them
+    np.testing.assert_array_equal(features[:160], x)
+    np.testing.assert_array_equal(labels[:160], y)
+    assert labels[160:].min() >= 0 and labels[160:].max() < 4
 
 
 def test_augment_offline_exact_paper_arithmetic():
@@ -280,19 +279,18 @@ def test_augment_offline_exact_paper_arithmetic():
     x = rng.standard_normal((462, 6))
     y = rng.integers(0, 4, 462)
     gen = build_generator(6, 4, 3, seed=1)
-    out = augment_offline(TrainView.real(x, y), gen, 0.5, small_config(),
-                          np.random.default_rng(2))
-    assert len(out.labels) == 693
+    _, labels = augment_offline((x, y), gen, 0.5, small_config(), np.random.default_rng(2))
+    assert len(labels) == 693
 
 
 def test_augment_offline_fraction_zero_is_identity():
     x, y = small_training_data()
     gen = build_generator(6, 4, 3, seed=0)
-    view = TrainView.real(x, y)
-    out = augment_offline(view, gen, 0.0, small_config(), np.random.default_rng(1))
-    np.testing.assert_array_equal(out.features, x)
-    np.testing.assert_array_equal(out.labels, y)
-    assert out.source.all()
+    features, labels = augment_offline((x, y), gen, 0.0, small_config(),
+                                       np.random.default_rng(1))
+    np.testing.assert_array_equal(features, x)
+    np.testing.assert_array_equal(labels, y)
+    assert features is not x and labels is not y
 
 
 # ------------------------------------------------------------- baseline
@@ -344,7 +342,7 @@ def test_baseline_determinism():
 
 
 def test_gan_config_presets():
-    dualmyo = GanConfig.dualmyo()
+    dualmyo = GanConfig()
     assert (dualmyo.epochs, dualmyo.latent_size) == (300, 8)
     assert (dualmyo.lr_d, dualmyo.lr_g) == (0.0002, 0.001)
     assert (dualmyo.g_validity_weight, dualmyo.g_class_weight) == (1.3, 0.8)

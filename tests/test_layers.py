@@ -159,6 +159,6 @@ def test_width_mismatch_raises():
     spec = NetworkSpec((4,), (dense(3),), ((2, "linear"),))
     net = init_network(spec, seed=1)
     with pytest.raises(ShapeError):
-        net.forward([np.zeros((2, 5))])
+        net.forward([np.zeros((2, 5))], TRAIN)
     with pytest.raises(ShapeError):
-        net.forward([np.zeros((2, 4)), np.zeros((2, 1))])
+        net.forward([np.zeros((2, 4)), np.zeros((2, 1))], TRAIN)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from stgan_nd.data import SYNTHETIC
 from stgan_nd.errors import SpecError
 from stgan_nd.evaluate import classify_with_threshold, compute_gca_nda
 from stgan_nd.experiments import evaluate_model, prepare_data, train_variant
@@ -18,7 +17,6 @@ def test_default_shape_mirrors_dualmyo():
     ds = make_synthetic_dataset(SynthSpec(seed=5))
     assert ds.n_samples == 880
     assert ds.n_features == 16
-    assert ds.provenance == SYNTHETIC
     values, counts = np.unique(ds.labels, return_counts=True)
     np.testing.assert_array_equal(counts, np.full(8, 110))
 
