@@ -149,7 +149,11 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
+    text = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _CliError(f"{ENV_SEED} must be an integer, got {text!r}") from None
 
 
 def _add_data_args(p: _Parser) -> None:
@@ -281,14 +285,23 @@ def _prepare(config: RunConfig) -> PreparedData:
     return prepare_data(ds, config.novel_classes, config.seed)
 
 
-def _write_preprocessing(prep: PreparedData, out: Path) -> None:
-    payload = {
+def _preprocessing(prep: PreparedData) -> dict:
+    return {
         "standardizer": prep.standardizer.to_dict(),
         "class_map": {str(k): v for k, v in prep.hold_out.class_map.items()},
         "n_features": prep.n_features,
         "n_classes": prep.n_classes,
     }
-    (out / "preprocessing.json").write_text(json.dumps(payload, indent=1))
+
+
+def _read_preprocessing(model: Path) -> tuple[dict, Standardizer]:
+    """The preprocessing file of the run in ``model`` and its standardizer."""
+    payload = _read_json(model / "preprocessing.json", "preprocessing file")
+    try:
+        standardizer = Standardizer.from_dict(payload["standardizer"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad preprocessing file in {model}: {exc!r}") from None
+    return payload, standardizer
 
 
 def _train_run(config: RunConfig, out: Path, prep: PreparedData,
@@ -309,7 +322,7 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
         prep, config.variant, config.gan_config(), config.baseline_config(),
         checkpoint_dir=out / "checkpoints", bundle=bundle,
     )
-    _write_preprocessing(prep, out)
+    (out / "preprocessing.json").write_text(json.dumps(_preprocessing(prep), indent=1))
     if model.bundle is not None:
         if gan_dir is None:
             save_checkpoint(out / "generator.json", model.bundle.generator,
@@ -328,8 +341,10 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
 
 def _remove_run_files(out: Path) -> None:
     """Delete the files an earlier run wrote in ``out`` that this run may
-    not overwrite: its generator, losses, ROC and periodic checkpoints."""
-    names = ("generator.json", "losses.csv", "retrain_losses.csv", "roc.csv")
+    not overwrite, or may fail before overwriting: its model,
+    preprocessing, generator, losses, ROC and periodic checkpoints."""
+    names = ("discriminator.json", "preprocessing.json", "generator.json",
+             "losses.csv", "retrain_losses.csv", "roc.csv")
     for path in [out / name for name in names] + list(out.glob("checkpoints/*_e*.json")):
         path.unlink(missing_ok=True)
 
@@ -387,8 +402,15 @@ def cmd_distances(args) -> int:
     prep = _prepare(config)
     generator = None
     if args.model:
-        gen_path = Path(args.model) / "generator.json"
+        model = Path(args.model)
+        gen_path = model / "generator.json"
         if gen_path.exists():
+            payload, _ = _read_preprocessing(model)
+            expected = _preprocessing(prep)
+            for key in ("n_features", "class_map"):
+                if payload.get(key) != expected[key]:
+                    raise DataError(f"{model} was trained on other data: its {key} is "
+                                    f"{payload.get(key)}, the data's is {expected[key]}")
             generator, _, _ = load_checkpoint(gen_path)
         else:
             print(f"warning: {gen_path} not found; GAN column omitted", file=sys.stderr)
@@ -425,7 +447,7 @@ def _evaluate_one(payload) -> list[dict]:
             net = model.network
             if variant == "test_2":
                 gan = (model.bundle, out)
-        evaluation = evaluate_model(net, prep, config.target_gca, variant)
+        evaluation = evaluate_model(net, prep, config.target_gca)
         write_roc_csv(evaluation.roc_points, out / "roc.csv")
         results.append({
             "variant": variant,
@@ -520,11 +542,7 @@ def cmd_generate(args) -> int:
     if not gen_path.exists():
         raise DataError(f"no generator checkpoint in {model}")
     generator, _, _ = load_checkpoint(gen_path)
-    payload = _read_json(model / "preprocessing.json", "preprocessing file")
-    try:
-        standardizer = Standardizer.from_dict(payload["standardizer"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad preprocessing file in {model}: {exc!r}") from None
+    _, standardizer = _read_preprocessing(model)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = substream(seed, "generate")
     target = args.class_index if args.target is None else _parse_float_list(args.target)

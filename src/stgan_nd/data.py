@@ -8,6 +8,7 @@ one numeric CSV per sample (t rows by d channels, no header).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,9 +86,12 @@ class SplitAssignment:
 
 def _parse_cell(text: str, row: int, col: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"row {row}, column {col}: {text!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}, column {col}: {text!r} is not finite")
+    return value
 
 
 def _read_numeric_csv(path: Path, skip_header: bool) -> np.ndarray:

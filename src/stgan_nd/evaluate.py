@@ -119,47 +119,42 @@ def distance_report(real_by_class: dict, generated_by_class: dict | None,
     return DistanceReport(per_class)
 
 
-@dataclass
-class Decision:
-    class_index: int | None  # None means "others"
-    score: float
-    tau: float
-
-    @property
-    def is_others(self) -> bool:
-        return self.class_index is None
+# decision or truth code for "others": a demoted decision, or a novel sample
+OTHERS = -1
 
 
-def classify_with_threshold(class_probs: np.ndarray, tau: float) -> list[Decision]:
-    """Argmax classification, demoted to "others" when max prob < tau."""
-    if not 0.0 <= tau <= 1.0:
+def classify_with_threshold(class_probs: np.ndarray, tau) -> np.ndarray:
+    """Argmax class per row, demoted to ``OTHERS`` when max prob < tau.
+
+    ``tau`` is a threshold in [0, 1], or an array of them that broadcasts
+    against the rows: a column of thresholds gives one row of decisions
+    per threshold.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise SpecError(f"threshold must lie in [0, 1], got {tau}")
     class_probs = np.asarray(class_probs, dtype=float)
     if class_probs.ndim != 2:
         raise ShapeError("class_probs must be a (n, n_classes) matrix")
-    winners = class_probs.argmax(axis=1)  # ties resolve to the lowest index
-    scores = class_probs.max(axis=1)
-    return [
-        Decision(int(w) if s >= tau else None, float(s), float(tau))
-        for w, s in zip(winners, scores)
-    ]
+    # ties resolve to the lowest index
+    return np.where(class_probs.max(axis=1) >= tau, class_probs.argmax(axis=1), OTHERS)
+
+
+def _truth_codes(truths) -> np.ndarray:
+    """Trained-class index per sample, with a None truth (novel) as OTHERS."""
+    codes = np.asarray(truths)
+    if codes.dtype == object:
+        codes = np.where(np.equal(codes, None), OTHERS, codes)
+    return codes.astype(int)
 
 
 @dataclass
 class ConfusionCounts:
-    correct_trained: int = 0
-    wrong_trained: int = 0
-    trained_as_others: int = 0
-    novel_as_others: int = 0
-    novel_as_class: int = 0
-
-    @property
-    def n_trained(self) -> int:
-        return self.correct_trained + self.wrong_trained + self.trained_as_others
-
-    @property
-    def n_novel(self) -> int:
-        return self.novel_as_others + self.novel_as_class
+    correct_trained: int
+    wrong_trained: int
+    trained_as_others: int
+    novel_as_others: int
+    novel_as_class: int
 
 
 @dataclass
@@ -184,63 +179,51 @@ class EvalReport:
         }
 
 
-def compute_gca_nda(decisions: list[Decision], truths) -> EvalReport:
+def _confusion_counts(decisions: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """The ``ConfusionCounts`` fields, in order, counted along the last
+    axis of ``decisions``: shape ``decisions.shape[:-1] + (5,)``."""
+    if decisions.shape[-1:] != truths.shape:
+        raise ShapeError("decisions and truths differ in length")
+    novel = truths == OTHERS
+    n_novel = int(novel.sum())
+    n_trained = novel.size - n_novel
+    if n_trained == 0:
+        raise SpecError("no trained-class samples to score")
+    if n_novel == 0:
+        raise SpecError("no novel samples: NDA is undefined")
+    others = decisions == OTHERS
+    correct = ((decisions == truths) & ~novel).sum(axis=-1)
+    trained_as_others = (others & ~novel).sum(axis=-1)
+    novel_as_others = (others & novel).sum(axis=-1)
+    return np.stack([
+        correct, n_trained - correct - trained_as_others, trained_as_others,
+        novel_as_others, n_novel - novel_as_others,
+    ], axis=-1)
+
+
+def _gca_nda(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GCA and NDA of confusion counts laid out along the last axis."""
+    return counts[..., 0] / counts[..., :3].sum(axis=-1), counts[..., 3] / counts[..., 3:].sum(axis=-1)
+
+
+def _report(counts: np.ndarray, tau: float) -> EvalReport:
+    """The report of the confusion counts at one threshold."""
+    gca, nda = (float(a) for a in _gca_nda(counts))
+    counts = counts.tolist()
+    return EvalReport(gca=gca, nda=nda, mean_balanced=(gca + nda) / 2.0,
+                      mean_weighted=(counts[0] + counts[3]) / sum(counts),
+                      tau=float(tau), counts=ConfusionCounts(*counts))
+
+
+def compute_gca_nda(decisions: np.ndarray, truths, tau: float = 0.0) -> EvalReport:
     """Gesture classification accuracy and novelty detection accuracy.
 
-    ``truths`` holds the trained-class index per sample, or None for a
-    novel sample. A trained sample demoted to "others" counts as wrong.
+    ``decisions`` comes from ``classify_with_threshold`` at threshold
+    ``tau``, which the report records. ``truths`` holds the trained-class
+    index per sample, and ``OTHERS`` or None for a novel sample. A trained
+    sample demoted to "others" counts as wrong.
     """
-    if len(decisions) != len(truths):
-        raise ShapeError("decisions and truths differ in length")
-    counts = ConfusionCounts()
-    for decision, truth in zip(decisions, truths):
-        if truth is None:
-            if decision.is_others:
-                counts.novel_as_others += 1
-            else:
-                counts.novel_as_class += 1
-        elif decision.is_others:
-            counts.trained_as_others += 1
-        elif decision.class_index == int(truth):
-            counts.correct_trained += 1
-        else:
-            counts.wrong_trained += 1
-    if counts.n_trained == 0:
-        raise SpecError("no trained-class samples to score")
-    if counts.n_novel == 0:
-        raise SpecError("no novel samples: NDA is undefined")
-    gca = counts.correct_trained / counts.n_trained
-    nda = counts.novel_as_others / counts.n_novel
-    weighted = (counts.correct_trained + counts.novel_as_others) / (
-        counts.n_trained + counts.n_novel
-    )
-    tau = decisions[0].tau if decisions else 0.0
-    return EvalReport(
-        gca=gca,
-        nda=nda,
-        mean_balanced=(gca + nda) / 2.0,
-        mean_weighted=weighted,
-        tau=tau,
-        counts=counts,
-    )
-
-
-def _grid_accuracies(class_probs: np.ndarray, truths) -> tuple[np.ndarray, np.ndarray]:
-    """GCA and NDA over the whole threshold grid, vectorized."""
-    class_probs = np.asarray(class_probs, dtype=float)
-    scores = class_probs.max(axis=1)
-    winners = class_probs.argmax(axis=1)
-    is_novel = np.array([t is None for t in truths])
-    if is_novel.all() or not is_novel.any():
-        raise SpecError("need both trained and novel samples to tune a threshold")
-    truth_idx = np.array([-1 if t is None else int(t) for t in truths])
-    trained = ~is_novel
-    hit = trained & (winners == truth_idx)
-
-    accepted = scores[None, :] >= THRESHOLD_GRID[:, None]  # (grid, n)
-    gca = (accepted[:, trained] & hit[None, trained]).sum(axis=1) / trained.sum()
-    nda = (~accepted[:, is_novel]).sum(axis=1) / is_novel.sum()
-    return gca, nda
+    return _report(_confusion_counts(np.asarray(decisions), _truth_codes(truths)), tau)
 
 
 def tune_threshold(class_probs: np.ndarray, truths, target_gca: float) -> tuple[float, EvalReport]:
@@ -250,7 +233,9 @@ def tune_threshold(class_probs: np.ndarray, truths, target_gca: float) -> tuple[
     threshold reaches the target GCA, the one whose GCA is closest to the
     target wins.
     """
-    gca, nda = _grid_accuracies(class_probs, truths)
+    decisions = classify_with_threshold(class_probs, THRESHOLD_GRID[:, None])
+    counts = _confusion_counts(decisions, _truth_codes(truths))
+    gca, nda = _gca_nda(counts)
     feasible = gca >= target_gca - 1e-12
     if feasible.any():
         candidates = np.flatnonzero(feasible)
@@ -262,8 +247,7 @@ def tune_threshold(class_probs: np.ndarray, truths, target_gca: float) -> tuple[
         tied = np.flatnonzero(gap == gap.min())
         best = tied[np.argmax(nda[tied])]
     tau = float(THRESHOLD_GRID[best])
-    report = compute_gca_nda(classify_with_threshold(class_probs, tau), truths)
-    return tau, report
+    return tau, _report(counts[best], tau)
 
 
 def roc_auc(novelty_scores, is_novel) -> tuple[list[tuple[float, float, float]], float]:
@@ -283,26 +267,15 @@ def roc_auc(novelty_scores, is_novel) -> tuple[list[tuple[float, float, float]],
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_flags = flags[order]
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
+    tp = np.cumsum(flags[order])[ends]
+    fpr = np.r_[0.0, (ends + 1 - tp) / n_neg]
+    tpr = np.r_[0.0, tp / n_pos]
+    points = list(zip(fpr.tolist(), tpr.tolist(), [float("inf")] + sorted_scores[starts].tolist()))
 
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            if sorted_flags[j]:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos, float(sorted_scores[i])))
-        i = j
-
-    auc = 0.0
-    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
-        auc += (fpr1 - fpr0) * (tpr0 + tpr1) / 2.0
+    # cumsum adds the trapezoids one after another, left to right
+    auc = np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
     return points, float(auc)
 
 

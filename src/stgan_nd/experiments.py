@@ -11,6 +11,7 @@ from . import data as D
 from .data import Dataset, HoldOut, SplitAssignment, Standardizer
 from .errors import SpecError
 from .evaluate import (
+    OTHERS,
     DistanceReport,
     EvalReport,
     classify_with_threshold,
@@ -162,18 +163,16 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
 
 @dataclass
 class VariantEvaluation:
-    variant: str
     rows: list[EvalReport]      # tau=0 first, then one row per target GCA
     targets: list[float]
     roc_points: list
     auc: float
 
 
-def evaluate_model(net: Network, prep: PreparedData, target_gcas,
-                   variant: str = "") -> VariantEvaluation:
+def evaluate_model(net: Network, prep: PreparedData, target_gcas) -> VariantEvaluation:
     """Score a classifier on the trained-class test split plus all novel samples."""
     x_eval = np.concatenate([prep.x_test, prep.x_novel])
-    truths = [int(t) for t in prep.y_test] + [None] * len(prep.x_novel)
+    truths = np.concatenate([prep.y_test, np.full(len(prep.x_novel), OTHERS)])
     outputs, _ = net.forward([x_eval], INFER)
     class_probs = outputs[-1]
 
@@ -181,12 +180,9 @@ def evaluate_model(net: Network, prep: PreparedData, target_gcas,
     for target in target_gcas:
         _, report = tune_threshold(class_probs, truths, target)
         rows.append(report)
-    points, auc = roc_auc(novelty_scores(class_probs), [t is None for t in truths])
+    points, auc = roc_auc(novelty_scores(class_probs), truths == OTHERS)
     rows[0].auc = auc
-    return VariantEvaluation(
-        variant=variant, rows=rows, targets=list(target_gcas),
-        roc_points=points, auc=auc,
-    )
+    return VariantEvaluation(rows=rows, targets=list(target_gcas), roc_points=points, auc=auc)
 
 
 def distance_tables(prep: PreparedData, generator: Network | None, seed: int,

@@ -42,6 +42,8 @@ class SynthSpec:
             raise SpecError("overlap must lie in [0, 1]")
         if self.cluster_mean_scale < 0:
             raise SpecError("cluster_mean_scale must be non-negative")
+        if self.seed < 0:
+            raise SpecError("seed must be non-negative")
 
 
 # share of within-class variance carried by the per-sample intensity factor

@@ -458,3 +458,59 @@ def test_earlier_manifest_with_one_hot_real_targets_exits_one(tmp_path, capsys):
     code, err = _error_exit(capsys, "train", "--manifest", earlier, "--out", tmp_path / "x")
     assert code == 1 and err.startswith("error: ") and "real_targets_stochastic" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_evaluate_retrains_after_a_failed_training(tmp_path, monkeypatch):
+    import stgan_nd.experiments as experiments
+
+    common = [*SMALL_DATA, "--seed", "7", "--variants", "baseline_a"]
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *common, "--epochs", "5", "--out", out) == 0
+
+    def diverge(*args, **kwargs):
+        raise NumericError("loss went NaN")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "train_baseline", diverge)
+        assert run_cli("evaluate", *common, "--epochs", "7", "--out", out) == 2
+    # the failed run leaves no model of the earlier configuration behind
+    assert not (out / "baseline_a" / "discriminator.json").exists()
+    assert not (out / "baseline_a" / "preprocessing.json").exists()
+
+    assert run_cli("evaluate", *common, "--epochs", "7", "--out", out) == 0
+    fresh = tmp_path / "fresh"
+    assert run_cli("evaluate", *common, "--epochs", "7", "--out", fresh) == 0
+    auc = [json.loads((d / "report.json").read_text())[0]["auc"] for d in (out, fresh)]
+    assert auc[0] == auc[1]
+
+
+def test_negative_synth_seed_exits_one(tmp_path, capsys):
+    code, err = _error_exit(capsys, "synth", "--out", tmp_path / "d.csv", "--seed", "-1")
+    assert code == 1 and err.startswith("error: ") and "seed" in err
+    assert not (tmp_path / "d.csv").exists()
+    code, err = _error_exit(capsys, "train", *SMALL_DATA, "--synth-seed", "-1",
+                            "--variant", "baseline_a", "--epochs", "1",
+                            "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "seed" in err
+
+
+def test_non_integer_env_seed_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_SEED, "seven")
+    code, err = _error_exit(capsys, "synth", "--out", tmp_path / "d.csv")
+    assert code == 1 and err.startswith("error: ") and cli.ENV_SEED in err
+
+
+def test_distances_with_a_model_of_other_data_exits_one(tmp_path, capsys):
+    model = tmp_path / "model"
+    assert run_cli("train", *SMALL_DATA, "--variant", "test_2", *FAST,
+                   "--batch-size", "8", "--latent-size", "3", "--out", model) == 0
+    wider = ["--synth-spec", "5,24,8", "--synth-seed", "3", "--novel-classes", "4"]
+    other_novel = ["--synth-spec", "5,24,6", "--synth-seed", "3", "--novel-classes", "3"]
+    for data, key in ((wider, "n_features"), (other_novel, "class_map")):
+        code, err = _error_exit(capsys, "distances", *data, "--seed", "7",
+                                "--model", model, "--out", tmp_path / "d")
+        assert code == 1 and err.startswith("error: ") and key in err
+    (model / "preprocessing.json").unlink()
+    code, err = _error_exit(capsys, "distances", *SMALL_DATA, "--seed", "7",
+                            "--model", model, "--out", tmp_path / "d")
+    assert code == 1 and err.startswith("error: ") and "preprocessing" in err

@@ -41,6 +41,25 @@ def test_load_rejects_non_numeric_cell_with_location(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_rejects_non_finite_feature_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"ch0,ch1,label\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(DataError, match="row 2, column 1"):
+        load_dataset(path)
+
+
+def test_load_rejects_non_finite_raw_sample_cell(tmp_path):
+    sample = np.random.default_rng(0).standard_normal((20, 3))
+    sample[4, 2] = np.nan
+    np.savetxt(tmp_path / "s0.csv", sample, delimiter=",")
+    np.savetxt(tmp_path / "s1.csv", sample[::-1] + 1.0, delimiter=",")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\ns0.csv,0\ns1.csv,1\n")
+    with pytest.raises(DataError, match="row 4, column 2"):
+        load_dataset(manifest)
+
+
 def test_load_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("ch0,ch1,label\n1.0,2.0,0\n1.0,0\n")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import stgan_nd.evaluate as evaluate_module
 from stgan_nd.errors import ShapeError, SpecError
 from stgan_nd.evaluate import (
+    OTHERS,
     THRESHOLD_GRID,
+    ConfusionCounts,
     classify_with_threshold,
     compute_gca_nda,
     distance_report,
@@ -133,15 +136,9 @@ def test_generation_spread_zero_for_collapsed_samples():
 
 def test_classify_threshold_semantics():
     probs = np.array([[0.95, 0.05], [0.5, 0.5], [0.2, 0.8]])
-    decisions = classify_with_threshold(probs, 0.9)
-    assert decisions[0].class_index == 0
-    assert decisions[1].is_others
-    assert decisions[2].is_others
-
-    at_zero = classify_with_threshold(probs, 0.0)
-    assert not any(d.is_others for d in at_zero)
+    assert classify_with_threshold(probs, 0.9).tolist() == [0, OTHERS, OTHERS]
     # ties break toward the lowest class index
-    assert at_zero[1].class_index == 0
+    assert classify_with_threshold(probs, 0.0).tolist() == [0, 0, 1]
 
 
 def test_classify_rejects_bad_tau():
@@ -233,6 +230,76 @@ def test_tune_threshold_requires_novel_samples():
         tune_threshold(probs, [0, 1], 0.9)
 
 
+@st.composite
+def _scored_samples(draw):
+    """Class probabilities rounded to two decimals, so that maxima tie
+    within rows, across rows and with grid thresholds; truths with both
+    trained and novel (None) samples."""
+    n_classes = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 40))
+    raw = np.array(draw(st.lists(st.integers(1, 9), min_size=n * n_classes,
+                                 max_size=n * n_classes)), dtype=float)
+    raw = raw.reshape(n, n_classes)
+    probs = np.round(raw / raw.sum(axis=1, keepdims=True), 2)
+    truths = draw(st.lists(st.none() | st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    assume(None in truths and any(t is not None for t in truths))
+    return probs, truths
+
+
+def brute_force_counts(probs, tau, truths) -> ConfusionCounts:
+    counts = ConfusionCounts(0, 0, 0, 0, 0)
+    for row, truth in zip(probs.tolist(), truths):
+        winner = row.index(max(row))  # the lowest index among tied maxima
+        accepted = row[winner] >= tau
+        if truth is None:
+            counts.novel_as_class += accepted
+            counts.novel_as_others += not accepted
+        elif not accepted:
+            counts.trained_as_others += 1
+        elif winner == truth:
+            counts.correct_trained += 1
+        else:
+            counts.wrong_trained += 1
+    return counts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_scored_samples(), st.data())
+def test_gca_nda_matches_a_count_over_the_rows(samples, data):
+    probs, truths = samples
+    tau = data.draw(st.sampled_from(sorted(set(probs.max(axis=1).tolist()) | {0.0, 1.0}))
+                    | st.floats(0.0, 1.0))
+    report = compute_gca_nda(classify_with_threshold(probs, tau), truths, tau)
+    want = brute_force_counts(probs, tau, truths)
+    assert report.counts == want
+    n_trained = want.correct_trained + want.wrong_trained + want.trained_as_others
+    n_novel = want.novel_as_others + want.novel_as_class
+    assert report.gca == want.correct_trained / n_trained
+    assert report.nda == want.novel_as_others / n_novel
+    assert report.mean_weighted == (want.correct_trained + want.novel_as_others) / len(truths)
+    assert report.tau == tau
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_scored_samples(), st.sampled_from([0.0, 0.5, 0.8, 0.9, 0.95, 1.0]))
+def test_tuned_threshold_is_a_grid_point_reported_as_compute_gca_nda(samples, target):
+    probs, truths = samples
+    tau, report = tune_threshold(probs, truths, target)
+    assert tau in THRESHOLD_GRID
+    at_tau = compute_gca_nda(classify_with_threshold(probs, tau), truths, tau)
+    assert report.to_dict() == at_tau.to_dict()
+    # among the grid thresholds that reach the target, none has a higher
+    # NDA, nor at the same NDA a higher GCA; when none reaches it, none
+    # comes closer to it
+    feasible = report.gca >= target - 1e-12
+    for other in THRESHOLD_GRID[::20]:
+        r = compute_gca_nda(classify_with_threshold(probs, other), truths)
+        if feasible:
+            assert r.gca < target - 1e-12 or (r.nda, r.gca) <= (report.nda, report.gca)
+        else:
+            assert abs(r.gca - target) >= abs(report.gca - target)
+
+
 # ------------------------------------------------------------------- ROC
 
 def mann_whitney_auc(scores, flags):
@@ -284,6 +351,23 @@ def test_roc_invariant_under_monotone_transform():
 def test_roc_requires_both_classes():
     with pytest.raises(SpecError):
         roc_auc(np.array([0.1, 0.2]), np.array([True, True]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_scored_samples())
+def test_roc_is_monotone_and_its_auc_is_the_rank_statistic(samples):
+    probs, truths = samples
+    scores = novelty_scores(probs)
+    flags = np.array([t is None for t in truths])
+    points, auc = roc_auc(scores, flags)
+    assert abs(auc - mann_whitney_auc(scores, flags)) < 1e-12
+    curve = np.array(points)
+    assert points[0] == (0.0, 0.0, float("inf"))
+    assert points[-1][:2] == (1.0, 1.0)
+    assert (np.diff(curve[:, :2], axis=0) >= 0).all()
+    # one point per distinct score, thresholds falling
+    assert len(points) == len(set(scores.tolist())) + 1
+    assert (np.diff(curve[:, 2]) < 0).all()
 
 
 def test_novelty_scores_are_one_minus_max():
