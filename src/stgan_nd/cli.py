@@ -74,6 +74,11 @@ class RunConfig:
     def __post_init__(self):
         if self.synth is not None and self.channels is not None:
             raise SpecError("--channels applies to --dataset only, not to --synth-spec")
+        if not isinstance(self.target_gca, list) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) and 0.0 <= t <= 1.0
+            for t in self.target_gca
+        ):
+            raise SpecError(f"target GCA values must be numbers in [0, 1], got {self.target_gca}")
 
     def to_manifest(self) -> dict:
         return asdict(self)
@@ -325,8 +330,10 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
     (out / "preprocessing.json").write_text(json.dumps(_preprocessing(prep), indent=1))
     if model.bundle is not None:
         if gan_dir is None:
+            # the network only, as for the discriminator: the Adam moments
+            # stay in the periodic checkpoints, and no command reads them
             save_checkpoint(out / "generator.json", model.bundle.generator,
-                            model.bundle.adam_g, rng_seed=config.seed)
+                            rng_seed=config.seed)
             write_loss_csv(model.bundle.loss_history, out / "losses.csv")
         else:
             _copy_gan_files(model.bundle, gan_dir, out)
@@ -400,12 +407,12 @@ def cmd_distances(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prep = _prepare(config)
-    generator = None
+    generator = standardizer = None
     if args.model:
         model = Path(args.model)
         gen_path = model / "generator.json"
         if gen_path.exists():
-            payload, _ = _read_preprocessing(model)
+            payload, standardizer = _read_preprocessing(model)
             expected = _preprocessing(prep)
             for key in ("n_features", "class_map"):
                 if payload.get(key) != expected[key]:
@@ -416,7 +423,8 @@ def cmd_distances(args) -> int:
             print(f"warning: {gen_path} not found; GAN column omitted", file=sys.stderr)
     else:
         print("warning: no --model given; GAN column omitted", file=sys.stderr)
-    report = distance_tables(prep, generator, config.seed, args.n_generated)
+    report = distance_tables(prep, generator, config.seed, args.n_generated,
+                             standardizer=standardizer)
     report.to_csv(out / "distances.csv")
     _write_manifest(config, out)
     print(f"distance table written to {out / 'distances.csv'}")
@@ -549,11 +557,10 @@ def cmd_generate(args) -> int:
     samples = generate_samples(generator, target, args.count, rng)
     samples = standardizer.inverse(samples)
     out = Path(args.out)
+    # the bytes csv.writer writes: no cell needs quoting, rows end in \r\n
     with open(out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"ch{i}" for i in range(samples.shape[1])])
-        for row in samples:
-            writer.writerow([repr(float(x)) for x in row])
+        handle.write(",".join(f"ch{i}" for i in range(samples.shape[1])) + "\r\n")
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in samples.tolist())
     print(f"wrote {samples.shape[0]} samples to {out}")
     return 0
 

@@ -21,7 +21,8 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature widths differ: {x.shape} vs {y.shape}")
     diff = y[:, None, :] - x[None, :, :]
-    return np.sqrt(np.square(diff).sum(axis=2))
+    dists = np.square(diff, out=diff).sum(axis=2)
+    return np.sqrt(dists, out=dists)
 
 
 def pairwise_set_distance(x: np.ndarray, y: np.ndarray, exclude_self: bool = False) -> np.ndarray:

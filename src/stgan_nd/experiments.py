@@ -186,14 +186,17 @@ def evaluate_model(net: Network, prep: PreparedData, target_gcas) -> VariantEval
 
 
 def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
-                    n_generated: int | None = None) -> DistanceReport:
+                    n_generated: int | None = None,
+                    standardizer: Standardizer | None = None) -> DistanceReport:
     """Per-class baseline/GAN/random distance statistics in raw feature units.
 
     Real sets are all samples of each trained class. Generated samples are
-    inverse-standardized; their class conditioning draws its peaks from the
-    default ``GanConfig`` stochastic-peak range, which the generator is
-    trained with. Random samples are drawn from per-class Gaussian fits of
-    the real data.
+    inverse-standardized with ``standardizer``, the one the generator was
+    trained against (``prep``'s when not given, for a generator trained on
+    ``prep``); their class conditioning draws its peaks from the default
+    ``GanConfig`` stochastic-peak range, which the generator is trained
+    with. Random samples are drawn from per-class Gaussian fits of the
+    real data.
     """
     labels = prep.hold_out.trained.labels
     real_by_class = {
@@ -203,6 +206,8 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
     stats = class_feature_stats(prep.raw_features, labels)
 
     rng = substream(seed, "distance")
+    if standardizer is None:
+        standardizer = prep.standardizer
     generated_by_class = None
     if generator is not None:
         generated_by_class = {}
@@ -211,7 +216,7 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
             peaks = rng.uniform(GanConfig.stochastic_p_low, GanConfig.stochastic_p_high, n)
             targets = D.stochastic_target_batch(np.full(n, cls), prep.n_classes, peaks)
             samples = generate_samples(generator, targets, n, rng)
-            generated_by_class[cls] = prep.standardizer.inverse(samples)
+            generated_by_class[cls] = standardizer.inverse(samples)
     random_by_class = {
         cls: gaussian_baseline_sampler(stats[cls][0], stats[cls][1],
                                        n_generated or len(real_by_class[cls]), rng)

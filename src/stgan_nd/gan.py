@@ -367,6 +367,8 @@ def generate_samples(generator: Network, target, n: int, rng: np.random.Generato
         targets = np.repeat(targets[None, :], n, axis=0)
     elif targets.shape != (n, n_classes):
         raise ShapeError(f"targets must have shape ({n_classes},) or ({n}, {n_classes})")
+    if not np.isfinite(targets).all():
+        raise SpecError("targets must be finite")
     z = sample_noise(n, latent_size, rng)
     (out,), _ = generator.forward([z, targets], INFER)
     return out

@@ -1,7 +1,9 @@
 """Single-file JSON checkpoints.
 
-Float64 values are written as their shortest-repr decimal strings, which
-round-trip exactly, so a reloaded network is bit-identical to the saved one.
+Float64 values are written as JSON numbers in their shortest-repr decimal
+form, which round-trips exactly, so a reloaded network is bit-identical to
+the saved one. Files of earlier versions hold each value as a decimal
+string; they load the same way.
 """
 
 from __future__ import annotations
@@ -22,12 +24,24 @@ FORMAT = "stgan-nd-checkpoint-v1"
 
 def _encode_array(arr: np.ndarray) -> dict:
     flat = np.asarray(arr, dtype=float).ravel(order="C")
-    return {"shape": list(arr.shape), "values": [repr(float(x)) for x in flat]}
+    return {"shape": list(arr.shape), "values": flat.tolist()}
 
 
 def _decode_array(payload: dict) -> np.ndarray:
-    values = np.array([float(s) for s in payload["values"]], dtype=float)
-    return values.reshape(payload["shape"])
+    """The array of one ``{"shape", "values"}`` entry; values may be JSON
+    numbers or decimal strings."""
+    try:
+        values = np.array(payload["values"], dtype=float)
+        shape = tuple(payload["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad checkpoint array: {exc}") from None
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise DataError("checkpoint array values must be a flat list of finite numbers")
+    try:
+        return values.reshape(shape)
+    except (TypeError, ValueError):
+        raise DataError(f"checkpoint array of {values.size} values "
+                        f"does not fit shape {list(shape)}") from None
 
 
 def _decode_moment(entries: list, net: Network) -> np.ndarray:
@@ -94,17 +108,17 @@ def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
     }
     if optimizer is not None:
         doc["optimizer"] = {
-            "learning_rate": repr(float(optimizer.learning_rate)),
-            "beta1": repr(float(optimizer.beta1)),
-            "beta2": repr(float(optimizer.beta2)),
-            "epsilon": repr(float(optimizer.epsilon)),
-            "decay": repr(float(optimizer.decay)),
+            "learning_rate": float(optimizer.learning_rate),
+            "beta1": float(optimizer.beta1),
+            "beta2": float(optimizer.beta2),
+            "epsilon": float(optimizer.epsilon),
+            "decay": float(optimizer.decay),
             "step_count": optimizer.step_count,
             # each moment is a one-element list, as in files of earlier versions
             "first_moment": [_encode_array(optimizer.first_moment)],
             "second_moment": [_encode_array(optimizer.second_moment)],
         }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")))
 
 
 def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:

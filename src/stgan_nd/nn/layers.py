@@ -63,7 +63,9 @@ class Dense(Layer):
 
     def forward(self, x, mode, rng=None, update_stats=True):
         self._check_width(x)
-        return x @ self.weight + self.bias, x
+        out = x @ self.weight
+        out += self.bias
+        return out, x
 
     def backward(self, cache, grad, out=None, input_only=False):
         grad_x = grad @ self.weight.T
@@ -204,8 +206,12 @@ class BatchNorm(_Elementwise):
     def forward(self, x, mode, rng=None, update_stats=True):
         self._check_width(x)
         if mode == INFER:
-            x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            return self.gamma * x_hat + self.beta, None
+            # gamma * (x - mean) / sqrt(var + eps) + beta, in one array
+            out = x - self.running_mean
+            out /= np.sqrt(self.running_var + self.eps)
+            out *= self.gamma
+            out += self.beta
+            return out, None
         mean = x.mean(axis=0)
         var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + self.eps)

@@ -15,6 +15,7 @@ from stgan_nd.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from stgan_nd.nn.checkpoint import _decode_array
 from stgan_nd.nn.specs import (
     HEAD_ACTIVATIONS,
     batch_norm,
@@ -174,3 +175,92 @@ def test_random_spec_round_trip_is_bit_identical(tmp_path_factory, spec, seed, s
     again = directory / "again.json"
     save_checkpoint(again, loaded, loaded_state, rng_seed=loaded_seed)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _earlier_layout(path, net, state, seed) -> None:
+    """Rewrite a checkpoint the way earlier versions wrote it: every value a
+    repr string, the optimizer's scalars too, under ``indent=1``."""
+    save_checkpoint(path, net, state, rng_seed=seed)
+    doc = json.loads(path.read_text())
+
+    def as_strings(entry):
+        entry["values"] = [repr(float(x)) for x in entry["values"]]
+
+    for layer in doc["layers"] + doc["heads"]:
+        for entry in layer["arrays"].values():
+            as_strings(entry)
+    for name in ("learning_rate", "beta1", "beta2", "epsilon", "decay"):
+        doc["optimizer"][name] = repr(float(doc["optimizer"][name]))
+    for name in ("first_moment", "second_moment"):
+        as_strings(doc["optimizer"][name][0])
+    path.write_text(json.dumps(doc, indent=1))
+
+
+def test_checkpoint_of_the_earlier_string_layout_loads_bit_identically(tmp_path):
+    net = _trained_net()
+    state = AdamState.for_params(net.flat_parameters(), 0.001, beta1=0.5, decay=1e-6)
+    adam_step(state, net.flat_parameters(),
+              np.random.default_rng(2).standard_normal(net.flat_parameters().shape))
+    net.trunk[0].weight[0, 0] = 0.1 + 0.2
+    net.trunk[0].weight[0, 1] = -0.0
+    net.trunk[0].bias[0] = 2.0 ** -1074
+    earlier = tmp_path / "earlier.json"
+    _earlier_layout(earlier, net, state, 11)
+    assert '"values": [\n' in earlier.read_text() and '"0.30000000000000004"' in earlier.read_text()
+
+    loaded, loaded_state, seed = load_checkpoint(earlier)
+    assert seed == 11
+    np.testing.assert_array_equal(_bits(loaded.flat_parameters()), _bits(net.flat_parameters()))
+    for a, b in zip(net.batch_norm_layers(), loaded.batch_norm_layers()):
+        np.testing.assert_array_equal(_bits(b.running_mean), _bits(a.running_mean))
+        np.testing.assert_array_equal(_bits(b.running_var), _bits(a.running_var))
+    np.testing.assert_array_equal(_bits(loaded_state.first_moment), _bits(state.first_moment))
+    np.testing.assert_array_equal(_bits(loaded_state.second_moment), _bits(state.second_moment))
+    for name in ("learning_rate", "beta1", "beta2", "epsilon", "decay", "step_count"):
+        assert getattr(loaded_state, name) == getattr(state, name)
+    # saved again, it is the file a fresh save of the same state writes
+    again, fresh = tmp_path / "again.json", tmp_path / "fresh.json"
+    save_checkpoint(again, loaded, loaded_state, rng_seed=seed)
+    save_checkpoint(fresh, net, state, rng_seed=11)
+    assert again.read_bytes() == fresh.read_bytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_decimal_strings_and_numbers_decode_to_the_same_bits(values):
+    expected = _bits(np.array(values))
+    shape = [len(values)]
+    for stored in ([repr(v) for v in values], values):
+        doc = json.loads(json.dumps({"shape": shape, "values": stored}))
+        np.testing.assert_array_equal(_bits(_decode_array(doc)), expected)
+
+
+def test_values_are_compact_json_numbers(tmp_path):
+    path = tmp_path / "net.json"
+    save_checkpoint(path, _trained_net())
+    text = path.read_text()
+    assert "\n" not in text and ", " not in text and ": " not in text
+    doc = json.loads(text)
+    for layer in doc["layers"] + doc["heads"]:
+        for entry in layer["arrays"].values():
+            assert all(type(v) is float for v in entry["values"])
+
+
+@pytest.mark.parametrize("entry,match", [
+    ({"shape": [2], "values": ["0.5", "abc"]}, "bad checkpoint array"),
+    ({"shape": [2], "values": [0.5, None]}, "finite"),
+    ({"shape": [2], "values": [0.5, "nan"]}, "finite"),
+    ({"shape": [2], "values": [[0.5], [1.0]]}, "flat list"),
+    ({"shape": [2], "values": [0.5, 1.0, 2.0]}, "does not fit shape"),
+    ({"shape": "ab", "values": [0.5, 1.0]}, "does not fit shape"),
+    ({"shape": [1], "values": {"0": 0.5}}, "bad checkpoint array"),
+    ({"shape": [1]}, "bad checkpoint array"),
+])
+def test_bad_array_entries_raise_data_error(tmp_path, entry, match):
+    path = tmp_path / "net.json"
+    save_checkpoint(path, _trained_net())
+    doc = json.loads(path.read_text())
+    doc["heads"][0]["arrays"]["bias"] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)

@@ -1,13 +1,22 @@
 import csv
+import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stgan_nd import cli
+from stgan_nd.data import stochastic_target_batch
 from stgan_nd.errors import NumericError
+from stgan_nd.evaluate import pairwise_set_distance
+from stgan_nd.experiments import distance_tables, prepare_data
+from stgan_nd.gan import GanConfig, generate_samples
+from stgan_nd.nn import load_checkpoint
+from stgan_nd.rng import substream
+from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
 
 def run_cli(*args):
@@ -514,3 +523,135 @@ def test_distances_with_a_model_of_other_data_exits_one(tmp_path, capsys):
     code, err = _error_exit(capsys, "distances", *SMALL_DATA, "--seed", "7",
                             "--model", model, "--out", tmp_path / "d")
     assert code == 1 and err.startswith("error: ") and "preprocessing" in err
+
+
+@pytest.fixture(scope="module")
+def small_gan(tmp_path_factory):
+    """A 3-epoch test_2 run on SMALL_DATA, trained with --seed 7."""
+    model = tmp_path_factory.mktemp("small_gan") / "model"
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
+                   "--out", model) == 0
+    return model
+
+
+def test_generate_writes_the_bytes_of_csv_writer(small_gan, tmp_path):
+    target = [0.4, 0.3, 0.2, 0.1]
+    out = tmp_path / "samples.csv"
+    assert run_cli("generate", "--model", small_gan, "--target", ",".join(map(str, target)),
+                   "-n", "50", "--seed", "3", "--out", out) == 0
+
+    generator, _, _ = load_checkpoint(small_gan / "generator.json")
+    _, standardizer = cli._read_preprocessing(small_gan)
+    samples = standardizer.inverse(
+        generate_samples(generator, target, 50, substream(3, "generate")))
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow([f"ch{i}" for i in range(samples.shape[1])])
+    for row in samples:
+        writer.writerow([repr(float(x)) for x in row])
+    assert out.read_bytes() == reference.getvalue().encode()
+
+
+def test_final_generator_holds_no_moments_but_periodic_files_do(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "50",
+                   "--out", out) == 0
+    final = json.loads((out / "generator.json").read_text())
+    assert final["optimizer"] is None
+    for name in ("generator", "discriminator"):
+        periodic = json.loads((out / "checkpoints" / f"{name}_e0050.json").read_text())
+        assert len(periodic["optimizer"]["first_moment"][0]["values"]) > 0
+        assert periodic["optimizer"]["step_count"] > 0
+    # the network itself is the one of the last periodic file
+    last, _, _ = load_checkpoint(out / "checkpoints" / "generator_e0050.json")
+    kept, _, _ = load_checkpoint(out / "generator.json")
+    np.testing.assert_array_equal(kept.flat_parameters(), last.flat_parameters())
+    for a, b in zip(kept.batch_norm_layers(), last.batch_norm_layers()):
+        np.testing.assert_array_equal(a.running_mean, b.running_mean)
+        np.testing.assert_array_equal(a.running_var, b.running_var)
+
+
+def _small_prep(seed):
+    dataset = make_synthetic_dataset(SynthSpec(n_classes=5, samples_per_class=24,
+                                               n_features=6, seed=3))
+    return prepare_data(dataset, [4], seed)
+
+
+def test_distances_inverts_with_the_models_standardizer(small_gan, tmp_path):
+    out = tmp_path / "seed8"
+    assert run_cli("distances", *SMALL_DATA, "--seed", "8", "--model", small_gan,
+                   "--n-generated", "30", "--out", out) == 0
+    with open(out / "distances.csv") as handle:
+        rows = list(csv.reader(handle))[1:]
+
+    prep = _small_prep(8)
+    generator, _, _ = load_checkpoint(small_gan / "generator.json")
+    _, model_standardizer = cli._read_preprocessing(small_gan)
+    # another seed splits the data otherwise, so its standardizer differs
+    assert not np.array_equal(model_standardizer.mean, prep.standardizer.mean)
+    labels = prep.hold_out.trained.labels
+    rng = substream(8, "distance")
+    for cls, row in enumerate(rows):
+        peaks = rng.uniform(GanConfig.stochastic_p_low, GanConfig.stochastic_p_high, 30)
+        targets = stochastic_target_batch(np.full(30, cls), prep.n_classes, peaks)
+        generated = model_standardizer.inverse(generate_samples(generator, targets, 30, rng))
+        dists = pairwise_set_distance(prep.raw_features[labels == cls], generated)
+        assert row[3:5] == [repr(float(dists.mean())), repr(float(dists.std()))]
+
+    # with the training seed the two standardizers are one, and the table is
+    # the one inverted with the prepared data's own
+    same = tmp_path / "seed7"
+    assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--model", small_gan,
+                   "--n-generated", "30", "--out", same) == 0
+    reference = tmp_path / "reference.csv"
+    distance_tables(_small_prep(7), generator, 7, 30).to_csv(reference)
+    assert (same / "distances.csv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["nan,0,0,1", "0,inf,0,1", "0,0,-inf,1"])
+def test_generate_non_finite_target_exits_one(small_gan, tmp_path, capsys, target):
+    out = tmp_path / "s.csv"
+    code, err = _error_exit(capsys, "generate", "--model", small_gan, "--target", target,
+                            "-n", "3", "--out", out)
+    assert code == 1 and err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target_gca", ["nan", "0.9,inf", "1.5", "-0.1"])
+def test_evaluate_bad_target_gca_exits_one_before_training(tmp_path, capsys, target_gca):
+    code, err = _error_exit(capsys, "evaluate", *SMALL_DATA, *FAST, "--variants", "baseline_a",
+                            "--target-gca", target_gca, "--out", tmp_path / "e")
+    assert code == 1 and err.startswith("error: ") and "target GCA" in err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("target_gca", [[float("nan")], [0.9, 1.5], ["0.9"], 0.9])
+def test_train_manifest_with_a_bad_target_gca_exits_one(small_gan, tmp_path, capsys,
+                                                        target_gca):
+    manifest = json.loads((small_gan / "manifest.json").read_text())
+    manifest["target_gca"] = target_gca
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))  # a NaN is written as the literal NaN
+    code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "target GCA" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("corrupt", ["non-numeric", "short"])
+def test_checkpoint_with_bad_values_exits_one(small_gan, tmp_path, capsys, corrupt):
+    model = tmp_path / "model"
+    shutil.copytree(small_gan, model)
+    doc = json.loads((model / "generator.json").read_text())
+    values = doc["layers"][0]["arrays"]["weight"]["values"]
+    if corrupt == "non-numeric":
+        values[1] = "0.5x"
+    else:
+        values.pop()
+    (model / "generator.json").write_text(json.dumps(doc))
+    for args in (["generate", "--model", model, "--class", "1", "--out", tmp_path / "s.csv"],
+                 ["distances", *SMALL_DATA, "--seed", "7", "--model", model,
+                  "--out", tmp_path / "d"]):
+        code, err = _error_exit(capsys, *args)
+        assert code == 1 and err.startswith("error: ") and "checkpoint array" in err
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "d" / "distances.csv").exists()

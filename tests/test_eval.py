@@ -55,6 +55,17 @@ def test_blocked_set_distance_equals_the_full_matrix_bit_for_bit(
                                   (own.sum(axis=1) - np.diag(own)) / (n_y - 1))
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_pairwise_distances_equal_the_out_of_place_expression_bit_for_bit(n_x, n_y, width, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_x, width)) * rng.uniform(0.1, 100.0)
+    y = rng.normal(size=(n_y, width))
+    expected = np.sqrt(np.square(y[:, None, :] - x[None, :, :]).sum(axis=2))
+    np.testing.assert_array_equal(pairwise_distances(x, y).view(np.uint64),
+                                  expected.view(np.uint64))
+
+
 def test_distance_to_identical_single_row_is_zero():
     x = np.array([[1.0, 2.0, 3.0]])
     assert pairwise_set_distance(x, x.copy())[0] == 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import central_difference, relative_error
+from hypothesis import given, settings, strategies as st
 
 from stgan_nd.errors import ShapeError, SpecError, StateError
 from stgan_nd.nn import (
@@ -12,6 +13,7 @@ from stgan_nd.nn import (
     composite_loss,
     init_network,
 )
+from stgan_nd.nn.layers import BatchNorm, Dense
 from stgan_nd.nn.specs import (
     batch_norm,
     dense,
@@ -202,3 +204,49 @@ def test_gradient_views_share_the_flat_buffer_and_calls_do_not_alias():
     assert offset == flat.size
     assert not np.shares_memory(flat, second.flat())
     np.testing.assert_array_equal(flat, second.flat())
+
+
+def _reference_infer(net, inputs):
+    """INFER forward written with one out-of-place expression per layer."""
+    x = np.concatenate(inputs, axis=1)
+    for layer in net.trunk:
+        if isinstance(layer, Dense):
+            x = x @ layer.weight + layer.bias
+        elif isinstance(layer, BatchNorm):
+            x_hat = (x - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
+            x = layer.gamma * x_hat + layer.beta
+        else:
+            x = x * (x > 0.0)
+    return [activation.forward(x @ dense_layer.weight + dense_layer.bias, INFER)[0]
+            for dense_layer, activation in net.heads]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    inputs=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    layers=st.lists(st.sampled_from(["dense", "batch_norm", "relu"]), max_size=6),
+    widths=st.lists(st.integers(1, 12), min_size=6, max_size=6),
+    heads=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(["linear", "softmax"])),
+                   min_size=1, max_size=2),
+    batch=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_infer_forward_equals_the_out_of_place_reference_bit_for_bit(
+        inputs, layers, widths, heads, batch, seed):
+    specs = tuple(dense(w) if kind == "dense" else batch_norm() if kind == "batch_norm"
+                  else relu() for kind, w in zip(layers, widths))
+    net = init_network(NetworkSpec(tuple(inputs), specs, tuple(heads)), seed)
+    rng = np.random.default_rng(seed)
+    net.flat_parameters()[...] = rng.normal(size=net.flat_parameters().size)
+    for bn in net.batch_norm_layers():  # running statistics away from 0 and 1
+        bn.running_mean = rng.normal(size=bn.in_width) * 3.0
+        bn.running_var = rng.uniform(0.01, 5.0, size=bn.in_width)
+    x = [rng.normal(size=(batch, w)) * 2.0 for w in inputs]
+    before = [a.copy() for a in x]
+
+    outputs, _ = net.forward(x, INFER)
+    expected = _reference_infer(net, x)
+    for got, want in zip(outputs, expected):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for a, b in zip(x, before):  # the caller's inputs are left as they were
+        np.testing.assert_array_equal(a, b)
