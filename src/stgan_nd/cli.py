@@ -1,8 +1,10 @@
 """Command-line entry points for the experiment matrix.
 
 Subcommands: synth, train, distances, evaluate, generate. Every run writes
-a manifest.json from which it can be replayed bit-identically. Exit codes:
-0 success, 1 validation problem, 2 numeric divergence.
+a manifest.json from which it can be replayed bit-identically. Each command
+parses its arguments, loads and validates every input, computes, and only
+then creates its output and writes, so a validation error leaves the output
+as it was. Exit codes: 0 success, 1 validation problem, 2 numeric divergence.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import blas
@@ -31,7 +33,7 @@ from .experiments import (
     train_variant,
 )
 from .gan import BaselineConfig, GanBundle, GanConfig, generate_samples, write_loss_csv
-from .nn import load_checkpoint, save_checkpoint
+from .nn import Network, load_checkpoint, save_checkpoint
 from .rng import substream
 from .synth import SynthSpec, make_synthetic_dataset
 
@@ -42,21 +44,11 @@ ENVIRONMENT = "environment"
 GAN_VARIANTS = ("test_2", "test_3")
 
 
-class _CliError(SpecError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract reserves 2
     # for numeric divergence, so route usage errors through exit code 1
     def error(self, message):
-        raise _CliError(message)
-
-
-_CONFIG_FIELDS = (
-    "dataset", "channels", "synth", "novel_classes", "variant",
-    "target_gca", "gan", "baseline", "seed",
-)
+        raise SpecError(message)
 
 
 @dataclass
@@ -72,13 +64,30 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        if self.dataset is None and self.synth is None:
+            raise SpecError("provide --dataset or --synth-spec")
+        if not isinstance(self.dataset, (str, type(None))):
+            raise SpecError(f"dataset must be a path, got {self.dataset!r}")
         if self.synth is not None and self.channels is not None:
             raise SpecError("--channels applies to --dataset only, not to --synth-spec")
+        if not (isinstance(self.novel_classes, list) and self.novel_classes
+                and all(type(c) is int for c in self.novel_classes)):
+            raise SpecError(f"novel classes must be a non-empty list of integers, "
+                            f"got {self.novel_classes!r}")
+        if self.variant not in VARIANTS:
+            raise SpecError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not isinstance(self.target_gca, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and 0.0 <= t <= 1.0
-            for t in self.target_gca
-        ):
+                type(t) in (int, float) and 0.0 <= t <= 1.0 for t in self.target_gca):
             raise SpecError(f"target GCA values must be numbers in [0, 1], got {self.target_gca}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
+        try:
+            self.gan_config()
+            self.baseline_config()
+            if self.synth is not None:
+                SynthSpec(**self.synth)
+        except TypeError as exc:
+            raise DataError(f"bad training or dataset config: {exc}") from None
 
     def to_manifest(self) -> dict:
         return asdict(self)
@@ -87,10 +96,11 @@ class RunConfig:
     def from_manifest(cls, payload: dict) -> "RunConfig":
         if not isinstance(payload, dict):
             raise DataError("a manifest must be a JSON object")
-        missing = [k for k in _CONFIG_FIELDS if k not in payload]
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in payload]
         if missing:
             raise DataError(f"manifest lacks {', '.join(missing)}")
-        values = {k: payload[k] for k in _CONFIG_FIELDS}
+        values = {k: payload[k] for k in names}
         gan = values["gan"]
         # manifests of earlier versions record real_targets_stochastic, an
         # option whose one remaining setting is true
@@ -99,13 +109,7 @@ class RunConfig:
                 raise DataError("manifest trains with one-hot real targets "
                                 "(real_targets_stochastic false), which is not supported")
             values["gan"] = {k: v for k, v in gan.items() if k != "real_targets_stochastic"}
-        config = cls(**values)
-        try:
-            config.gan_config()
-            config.baseline_config()
-        except TypeError as exc:
-            raise DataError(f"manifest has a bad training config: {exc}") from None
-        return config
+        return cls(**values)
 
     def gan_config(self) -> GanConfig:
         return GanConfig(**self.gan)
@@ -139,18 +143,43 @@ def _same_config(manifest: Path, config: RunConfig) -> bool:
     return stored == json.loads(json.dumps(config.to_manifest()))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _CliError(f"expected comma-separated integers, got {text!r}") from None
+# argparse ``type=`` callables; argparse reports their ArgumentTypeError as
+# a usage error, which exits 1
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _CliError(f"expected comma-separated numbers, got {text!r}") from None
+def _parse_list(convert):
+    def parse(text: str) -> list:
+        try:
+            return [convert(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}") from None
+    return parse
+
+
+_parse_ints, _parse_floats = _parse_list(int), _parse_list(float)
+
+
+def _parse_synth_spec(text: str) -> list[int]:
+    parts = _parse_ints(text)
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"needs exactly classes,samples,features, got {text!r}")
+    return parts
+
+
+def _parse_positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _parse_variants(text: str) -> list[str]:
+    variants = [v for v in text.split(",") if v]
+    repeated = {v for v in variants if variants.count(v) > 1}
+    if not variants or repeated or not set(variants) <= set(VARIANTS):
+        raise argparse.ArgumentTypeError(
+            f"must name one or more of {', '.join(VARIANTS)}, each once, got {text!r}")
+    return variants
 
 
 def _default_seed() -> int:
@@ -158,30 +187,32 @@ def _default_seed() -> int:
     try:
         return int(text)
     except ValueError:
-        raise _CliError(f"{ENV_SEED} must be an integer, got {text!r}") from None
+        raise SpecError(f"{ENV_SEED} must be an integer, got {text!r}") from None
 
 
 def _add_data_args(p: _Parser) -> None:
     p.add_argument("--dataset", help="feature CSV or raw-sample manifest CSV")
-    p.add_argument("--synth-spec", metavar="C,M,F",
+    p.add_argument("--synth-spec", metavar="C,M,F", type=_parse_synth_spec,
                    help="synthesize a dataset: classes,samples-per-class,features")
     p.add_argument("--synth-seed", type=int, default=0,
                    help="seed of the synthetic dataset itself (default 0)")
-    p.add_argument("--channels",
+    p.add_argument("--channels", type=_parse_ints,
                    help="comma-separated channel indices of --dataset to keep")
-    p.add_argument("--novel-classes",
+    p.add_argument("--novel-classes", type=_parse_ints,
                    help="comma-separated class labels held out as novel")
+    # the run configuration's defaults, for the commands without the flags
+    # too: distances records them in its manifest
+    p.set_defaults(variant="test_2", preset="dualmyo", epochs=None, batch_size=None,
+                   latent_size=None, target_gca=[0.95, 0.90])
 
 
 def _add_train_args(p: _Parser) -> None:
-    p.add_argument("--variant", choices=VARIANTS, default="test_2")
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--batch-size", type=int, help="override batch size")
     p.add_argument("--latent-size", type=int, help="generator latent width")
-    p.add_argument("--preset", choices=["dualmyo", "uc2017"], default="dualmyo",
-                   help="hyperparameter preset (default dualmyo)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"top-level seed (default ${ENV_SEED} or 0)")
+    p.add_argument("--preset", choices=["dualmyo", "uc2017"],
+                   help="hyperparameter preset (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -190,11 +221,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic feature dataset CSV")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--spec", metavar="C,M,F", default="8,110,16")
+    p.add_argument("--spec", metavar="C,M,F", type=_parse_synth_spec, default="8,110,16")
     p.add_argument("--mean-scale", type=float, default=SynthSpec.cluster_mean_scale)
     p.add_argument("--within-std", type=float, default=SynthSpec.within_class_std)
     p.add_argument("--overlap", type=float, default=SynthSpec.overlap)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("train", help="train one experiment variant")
     _add_data_args(p)
@@ -205,17 +235,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("distances", help="baseline/GAN/random distance tables")
     _add_data_args(p)
     p.add_argument("--model", help="trained run directory (for the GAN column)")
-    p.add_argument("--n-generated", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n-generated", type=_parse_positive_int)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("evaluate", help="accuracy tables, ROC and AUC per variant")
     _add_data_args(p)
     _add_train_args(p)
-    p.add_argument("--variants", help="comma-separated list; overrides --variant")
-    p.add_argument("--target-gca", default="0.95,0.90",
+    p.add_argument("--variants", type=_parse_variants,
+                   help="comma-separated list; overrides --variant")
+    p.add_argument("--target-gca", type=_parse_floats,
                    help="comma-separated target GCA values")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_parse_positive_int, default=1,
                    help="train/evaluate this many variants in parallel")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -224,69 +254,42 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--class", dest="class_index", type=int,
                        help="trained class index to generate")
-    group.add_argument("--target", help="explicit comma-separated target vector")
+    group.add_argument("--target", type=_parse_floats,
+                       help="explicit comma-separated target vector")
     p.add_argument("-n", "--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
+
+    for p in sub.choices.values():  # main resolves an absent --seed
+        p.add_argument("--seed", type=int, help=f"top-level seed (default ${ENV_SEED} or 0)")
     return parser
 
 
-def _resolve_synth(args) -> dict | None:
-    if getattr(args, "synth_spec", None) is None:
-        return None
-    parts = _parse_int_list(args.synth_spec)
-    if len(parts) != 3:
-        raise _CliError("--synth-spec needs exactly classes,samples,features")
-    spec = SynthSpec(
-        n_classes=parts[0], samples_per_class=parts[1], n_features=parts[2],
-        seed=args.synth_seed,
-    )
-    return asdict(spec)
-
-
 def _run_config_from_args(args) -> RunConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    preset = getattr(args, "preset", "dualmyo")
-    gan = GanConfig.uc2017(seed=seed) if preset == "uc2017" else GanConfig(seed=seed)
-    overrides = {}
-    for flag, field_name in (
-        ("epochs", "epochs"), ("batch_size", "batch_size"), ("latent_size", "latent_size"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if overrides:
-        values = asdict(gan)
-        values.update(overrides)
-        gan = GanConfig(**values)
-    baseline = BaselineConfig(seed=seed)
-    if getattr(args, "epochs", None) is not None:
-        baseline = BaselineConfig(seed=seed, max_epochs=args.epochs)
-    if args.dataset is None and getattr(args, "synth_spec", None) is None:
-        raise _CliError("provide --dataset or --synth-spec")
-    if not getattr(args, "novel_classes", None):
-        raise _CliError("--novel-classes is required")
+    overrides = {name: getattr(args, name) for name in ("epochs", "batch_size", "latent_size")
+                 if getattr(args, name) is not None}
+    preset = GanConfig.uc2017 if args.preset == "uc2017" else GanConfig
+    baseline = BaselineConfig(seed=args.seed)
+    if args.epochs is not None:
+        baseline = replace(baseline, max_epochs=args.epochs)
     return RunConfig(
         dataset=str(Path(args.dataset).resolve()) if args.dataset else None,
-        channels=_parse_int_list(args.channels) if getattr(args, "channels", None) else None,
-        synth=_resolve_synth(args),
-        novel_classes=_parse_int_list(args.novel_classes),
-        variant=getattr(args, "variant", "test_2"),
-        target_gca=_parse_float_list(getattr(args, "target_gca", "0.95,0.90")),
-        gan=asdict(gan),
+        channels=args.channels,
+        synth=(asdict(SynthSpec(*args.synth_spec, seed=args.synth_seed))
+               if args.synth_spec else None),
+        novel_classes=args.novel_classes,
+        variant=args.variant,
+        target_gca=args.target_gca,
+        gan=asdict(preset(seed=args.seed, **overrides)),
         baseline=asdict(baseline),
-        seed=seed,
+        seed=args.seed,
     )
-
-
-def _load_config_dataset(config: RunConfig):
-    if config.dataset is not None:
-        return load_dataset(config.dataset, channels=config.channels)
-    return make_synthetic_dataset(SynthSpec(**config.synth))
 
 
 def _prepare(config: RunConfig) -> PreparedData:
-    ds = _load_config_dataset(config)
+    if config.dataset is not None:
+        ds = load_dataset(config.dataset, channels=config.channels)
+    else:
+        ds = make_synthetic_dataset(SynthSpec(**config.synth))
     return prepare_data(ds, config.novel_classes, config.seed)
 
 
@@ -299,14 +302,39 @@ def _preprocessing(prep: PreparedData) -> dict:
     }
 
 
-def _read_preprocessing(model: Path) -> tuple[dict, Standardizer]:
-    """The preprocessing file of the run in ``model`` and its standardizer."""
+def _load_generator(model: Path, prep: PreparedData | None = None
+                    ) -> tuple[Network, Standardizer]:
+    """The generator of the run in ``model`` and the standardizer it was
+    trained against, checked against each other and, given ``prep``,
+    against the data ``prep`` was prepared from."""
+    gen_path = model / "generator.json"
+    if not gen_path.exists():
+        raise DataError(f"no generator checkpoint in {model}")
     payload = _read_json(model / "preprocessing.json", "preprocessing file")
     try:
         standardizer = Standardizer.from_dict(payload["standardizer"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n_features, n_classes = payload["n_features"], payload["n_classes"]
+        class_map = payload["class_map"]
+        labels = set(class_map.values())
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad preprocessing file in {model}: {exc!r}") from None
-    return payload, standardizer
+    if prep is not None:
+        expected = _preprocessing(prep)
+        for key in ("n_features", "class_map"):
+            if payload[key] != expected[key]:
+                raise DataError(f"{model} was trained on other data: its {key} is "
+                                f"{payload[key]}, the data's is {expected[key]}")
+    generator, _, _ = load_checkpoint(gen_path)
+    # a generator maps (latent, class target) inputs to one head of features
+    widths = (list(generator.spec.input_widths[1:]), [w for w, _ in generator.spec.output_heads])
+    if (widths != ([n_classes], [n_features]) or len(class_map) != n_classes
+            or labels != set(range(generator.spec.input_widths[-1]))
+            or not standardizer.mean.size == standardizer.std.size == n_features):
+        raise DataError(f"the generator in {model}, of class and feature widths {widths}, does "
+                        f"not fit its preprocessing file: {n_classes!r} classes, class map "
+                        f"{class_map}, {n_features!r} features, standardizer widths "
+                        f"{standardizer.mean.size} and {standardizer.std.size}")
+    return generator, standardizer
 
 
 def _train_run(config: RunConfig, out: Path, prep: PreparedData,
@@ -373,19 +401,13 @@ def _write_supervised_losses(history, path) -> None:
 
 
 def cmd_synth(args) -> int:
-    parts = _parse_int_list(args.spec)
-    if len(parts) != 3:
-        raise _CliError("--spec needs exactly classes,samples,features")
-    seed = args.seed if args.seed is not None else _default_seed()
     spec = SynthSpec(
-        n_classes=parts[0], samples_per_class=parts[1], n_features=parts[2],
-        cluster_mean_scale=args.mean_scale, within_class_std=args.within_std,
-        overlap=args.overlap, seed=seed,
+        *args.spec, cluster_mean_scale=args.mean_scale, within_class_std=args.within_std,
+        overlap=args.overlap, seed=args.seed,
     )
     ds = make_synthetic_dataset(spec)
     out = Path(args.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
     print(f"wrote {ds.n_samples} samples x {ds.n_features} features to {out}")
     return 0
@@ -401,30 +423,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    if args.n_generated is not None and args.n_generated < 1:
-        raise _CliError(f"--n-generated must be positive, got {args.n_generated}")
     config = _run_config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prep = _prepare(config)
     generator = standardizer = None
-    if args.model:
-        model = Path(args.model)
-        gen_path = model / "generator.json"
-        if gen_path.exists():
-            payload, standardizer = _read_preprocessing(model)
-            expected = _preprocessing(prep)
-            for key in ("n_features", "class_map"):
-                if payload.get(key) != expected[key]:
-                    raise DataError(f"{model} was trained on other data: its {key} is "
-                                    f"{payload.get(key)}, the data's is {expected[key]}")
-            generator, _, _ = load_checkpoint(gen_path)
-        else:
-            print(f"warning: {gen_path} not found; GAN column omitted", file=sys.stderr)
+    model = Path(args.model) if args.model else None
+    if model is not None and (model / "generator.json").exists():
+        generator, standardizer = _load_generator(model, prep)
     else:
-        print("warning: no --model given; GAN column omitted", file=sys.stderr)
+        missing = "no --model given" if model is None else f"{model / 'generator.json'} not found"
+        print(f"warning: {missing}; GAN column omitted", file=sys.stderr)
     report = distance_tables(prep, generator, config.seed, args.n_generated,
                              standardizer=standardizer)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "distances.csv")
     _write_manifest(config, out)
     print(f"distance table written to {out / 'distances.csv'}")
@@ -434,14 +445,12 @@ def cmd_distances(args) -> int:
 def _evaluate_one(payload) -> list[dict]:
     """Train or reuse, then evaluate, the variants of one job, in order.
 
-    The data is prepared once per job. A variant's trained model in
-    ``<out>/<variant>`` is reused only if it was trained for this very
-    configuration. When ``test_2`` is trained in the job, ``test_3``
-    retrains from its GAN instead of training the same GAN again.
+    A variant's trained model in ``<out>/<variant>`` is reused only if it
+    was trained for this very configuration. When ``test_2`` is trained in
+    the job, ``test_3`` retrains from its GAN instead of training the same
+    GAN again.
     """
-    manifest, variants, out_root = payload
-    base = RunConfig.from_manifest(manifest)
-    prep = _prepare(base)
+    base, variants, out_root, prep = payload
     gan = None
     results = []
     for variant in variants:
@@ -480,22 +489,11 @@ def _evaluation_jobs(variants: list[str]) -> list[list[str]]:
 
 def cmd_evaluate(args) -> int:
     config = _run_config_from_args(args)
-    variants = (
-        [v for v in args.variants.split(",") if v] if args.variants else [config.variant]
-    )
-    if not variants:
-        raise _CliError("--variants names no variant")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise _CliError(f"unknown variant {variant!r}")
-    repeated = sorted({v for v in variants if variants.count(v) > 1})
-    if repeated:
-        raise _CliError(f"--variants names {', '.join(repeated)} more than once")
-    if args.jobs < 1:
-        raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
+    variants = args.variants or [config.variant]
+    prep = _prepare(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config.to_manifest(), job, str(out)) for job in _evaluation_jobs(variants)]
+    jobs = [(config, job, str(out), prep) for job in _evaluation_jobs(variants)]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             done = [r for job_results in pool.map(_evaluate_one, jobs) for r in job_results]
@@ -516,47 +514,31 @@ def cmd_evaluate(args) -> int:
 def _write_accuracy_csv(results, targets, path) -> None:
     # mirrors the published table layout: one row per variant, one column
     # group per threshold setting (tau=0 first, then each tuned target)
-    header = ["variant", "tau0_class", "tau0_others", "tau0_mean_balanced",
-              "tau0_mean_weighted"]
-    for target in targets:
-        tag = f"p{target:g}"
+    header = ["variant"]
+    for i, tag in enumerate(["tau0"] + [f"p{target:g}" for target in targets]):
         header += [f"{tag}_class", f"{tag}_others", f"{tag}_mean_balanced",
-                   f"{tag}_mean_weighted", f"{tag}_tau"]
+                   f"{tag}_mean_weighted"] + [f"{tag}_tau"] * (i > 0)
     header.append("auc")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for result in results:
-            rows = result["rows"]
             cells = [result["variant"]]
-            zero = rows[0]
-            cells += [_pct(zero["gca"]), _pct(zero["nda"]),
-                      _pct(zero["mean_balanced"]), _pct(zero["mean_weighted"])]
-            for row in rows[1:]:
-                cells += [_pct(row["gca"]), _pct(row["nda"]),
-                          _pct(row["mean_balanced"]), _pct(row["mean_weighted"]),
-                          f"{row['tau']:.3f}"]
+            for i, row in enumerate(result["rows"]):
+                cells += [f"{100.0 * row[key]:.1f}"
+                          for key in ("gca", "nda", "mean_balanced", "mean_weighted")]
+                cells += [f"{row['tau']:.3f}"] * (i > 0)
             cells.append(repr(result["auc"]))
             writer.writerow(cells)
 
 
-def _pct(fraction: float) -> str:
-    return f"{100.0 * fraction:.1f}"
-
-
 def cmd_generate(args) -> int:
-    model = Path(args.model)
-    gen_path = model / "generator.json"
-    if not gen_path.exists():
-        raise DataError(f"no generator checkpoint in {model}")
-    generator, _, _ = load_checkpoint(gen_path)
-    _, standardizer = _read_preprocessing(model)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = substream(seed, "generate")
-    target = args.class_index if args.target is None else _parse_float_list(args.target)
-    samples = generate_samples(generator, target, args.count, rng)
+    generator, standardizer = _load_generator(Path(args.model))
+    target = args.class_index if args.target is None else args.target
+    samples = generate_samples(generator, target, args.count, substream(args.seed, "generate"))
     samples = standardizer.inverse(samples)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     # the bytes csv.writer writes: no cell needs quoting, rows end in \r\n
     with open(out, "w", newline="") as handle:
         handle.write(",".join(f"ch{i}" for i in range(samples.shape[1])) + "\r\n")
@@ -578,6 +560,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)

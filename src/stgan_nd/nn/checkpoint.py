@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, StganError
 from . import layers as L
 from .adam import AdamState
 from .network import Network, init_network
@@ -70,16 +70,18 @@ def _layer_arrays(layer) -> dict:
 
 
 def _restore_layer(layer, arrays: dict) -> None:
-    stored = {name: _decode_array(entry) for name, entry in arrays.items()}
-    for name, value in stored.items():
-        current = getattr(layer, name)
-        if current.shape != value.shape:
+    current = _layer_arrays(layer)
+    if set(arrays) != set(current):
+        raise DataError(f"a {layer.kind} layer holds {sorted(current)}, got {sorted(arrays)}")
+    for name, entry in arrays.items():
+        value = _decode_array(entry)
+        if current[name].shape != value.shape:
             raise DataError(
                 f"checkpoint array {name!r} has shape {value.shape}, "
-                f"expected {current.shape}"
+                f"expected {current[name].shape}"
             )
         if name in layer.param_names:
-            current[...] = value  # keep the flat-buffer aliasing intact
+            current[name][...] = value  # keep the flat-buffer aliasing intact
         else:
             setattr(layer, name, value)
 
@@ -122,14 +124,23 @@ def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
 
 
 def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:
-    """Rebuild (network, optimizer state, rng seed) from a checkpoint file."""
+    """Rebuild (network, optimizer state, rng seed) from a checkpoint file;
+    any document ``save_checkpoint`` does not write raises DataError."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format") != FORMAT:
-        raise DataError(f"not a {FORMAT} file: {path}")
+    try:
+        return _from_document(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # DataError and SpecError are ValueErrors and say what is wrong
+        detail = exc if isinstance(exc, StganError) else repr(exc)
+        raise DataError(f"bad checkpoint {path}: {detail}") from None
 
+
+def _from_document(doc: dict) -> tuple[Network, AdamState | None, int | None]:
+    if doc.get("format") != FORMAT:
+        raise DataError(f"not a {FORMAT} file")
     spec = NetworkSpec.from_dict(doc["spec"])
     net = init_network(spec, seed=0)  # parameters are overwritten below
     if len(doc["layers"]) != len(net.trunk) or len(doc["heads"]) != len(net.heads):
@@ -138,12 +149,16 @@ def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:
         if entry["kind"] != layer.kind:
             raise DataError(f"layer kind mismatch: {entry['kind']} vs {layer.kind}")
         _restore_layer(layer, entry["arrays"])
-    for (dense, _), entry in zip(net.heads, doc["heads"]):
+    for (dense, _), (_, activation), entry in zip(net.heads, spec.output_heads, doc["heads"]):
+        if entry["activation"] != activation:
+            raise DataError(f"head activation mismatch: {entry['activation']} vs {activation}")
         _restore_layer(dense, entry["arrays"])
 
+    opt, seed = doc["optimizer"], doc["rng_seed"]
+    if seed is not None and type(seed) is not int:
+        raise DataError(f"rng_seed must be an integer or null, got {seed!r}")
     optimizer = None
-    if doc.get("optimizer"):
-        opt = doc["optimizer"]
+    if opt is not None:
         optimizer = AdamState(
             learning_rate=float(opt["learning_rate"]),
             first_moment=_decode_moment(opt["first_moment"], net),
@@ -154,5 +169,4 @@ def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:
             decay=float(opt["decay"]),
             step_count=int(opt["step_count"]),
         )
-    seed = doc.get("rng_seed")
     return net, optimizer, seed

@@ -108,6 +108,59 @@ def test_rejects_non_checkpoint_files(tmp_path):
         load_checkpoint(tmp_path / "missing.json")
 
 
+def _set(path, value):
+    def corrupt(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return corrupt
+
+
+def _delete(key):
+    return lambda doc: doc.pop(key)
+
+
+# malformed documents: (corruption, expected message)
+_MALFORMED = {
+    "no-layers": (_delete("layers"), "'layers'"),
+    "no-spec": (_delete("spec"), "'spec'"),
+    "no-heads": (_delete("heads"), "'heads'"),
+    "no-optimizer": (_delete("optimizer"), "'optimizer'"),
+    "no-rng-seed": (_delete("rng_seed"), "'rng_seed'"),
+    "spec-layers-int": (_set(["spec", "layers"], 5), "not iterable"),
+    "out-width-string": (_set(["spec", "layers", 0, "out_width"], "x"), "invalid literal"),
+    "stddev-string": (_set(["spec", "layers", 1, "stddev"], "x"), "TypeError"),
+    "arrays-null": (_set(["layers", 0, "arrays"], None), "TypeError"),
+    "arrays-empty": (_set(["layers", 0, "arrays"], {}), "holds"),
+    "layer-entry-list": (_set(["layers", 0], []), "TypeError"),
+    "head-activation": (_set(["heads", 0, "activation"], "relu"), "activation"),
+    "optimizer-list": (_set(["optimizer"], []), "TypeError"),
+    "rng-seed-string": (_set(["rng_seed"], "x"), "rng_seed"),
+    "beta1-string": (_set(["optimizer", "beta1"], "x"), "could not convert"),
+    "step-count-null": (_set(["optimizer", "step_count"], None), "TypeError"),
+    "no-running-var": (lambda doc: doc["layers"][3]["arrays"].pop("running_var"),
+                       "holds"),
+}
+
+
+@pytest.mark.parametrize("corrupt,match", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_structure_raises_data_error_naming_the_file(tmp_path, corrupt, match):
+    path = tmp_path / "net.json"
+    net = _trained_net()
+    save_checkpoint(path, net, AdamState.for_params(net.flat_parameters(), 0.001), rng_seed=3)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
+    # a top-level list instead of an object
+    path.write_text(json.dumps([doc]))
+    with pytest.raises(DataError, match=str(path)):
+        load_checkpoint(path)
+
+
 def test_moment_lists_of_other_lengths_are_rejected(tmp_path):
     net = _trained_net()
     path = tmp_path / "net.json"

@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgan_nd import cli
 from stgan_nd.data import stochastic_target_batch
@@ -541,7 +544,7 @@ def test_generate_writes_the_bytes_of_csv_writer(small_gan, tmp_path):
                    "-n", "50", "--seed", "3", "--out", out) == 0
 
     generator, _, _ = load_checkpoint(small_gan / "generator.json")
-    _, standardizer = cli._read_preprocessing(small_gan)
+    _, standardizer = cli._load_generator(small_gan)
     samples = standardizer.inverse(
         generate_samples(generator, target, 50, substream(3, "generate")))
     reference = io.StringIO(newline="")
@@ -586,7 +589,7 @@ def test_distances_inverts_with_the_models_standardizer(small_gan, tmp_path):
 
     prep = _small_prep(8)
     generator, _, _ = load_checkpoint(small_gan / "generator.json")
-    _, model_standardizer = cli._read_preprocessing(small_gan)
+    _, model_standardizer = cli._load_generator(small_gan)
     # another seed splits the data otherwise, so its standardizer differs
     assert not np.array_equal(model_standardizer.mean, prep.standardizer.mean)
     labels = prep.hold_out.trained.labels
@@ -637,21 +640,184 @@ def test_train_manifest_with_a_bad_target_gca_exits_one(small_gan, tmp_path, cap
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("corrupt", ["non-numeric", "short"])
-def test_checkpoint_with_bad_values_exits_one(small_gan, tmp_path, capsys, corrupt):
+def _first_weights(doc) -> list:
+    return doc["layers"][0]["arrays"]["weight"]["values"]
+
+
+def _periodic_optimizer_with_a_bad_beta1(doc) -> None:
+    n_params = sum(len(entry["values"]) for layer in doc["layers"] + doc["heads"]
+                   for name, entry in layer["arrays"].items() if not name.startswith("running"))
+    moment = [{"shape": [n_params], "values": [0.0] * n_params}]
+    doc["optimizer"] = {"learning_rate": 0.001, "beta1": "x", "beta2": 0.999, "epsilon": 1e-7,
+                        "decay": 0.0, "step_count": 1, "first_moment": moment,
+                        "second_moment": moment}
+
+
+# corruptions of a generator checkpoint, with what the error names
+_BAD_GENERATORS = {
+    "non-numeric": (lambda doc: _first_weights(doc).__setitem__(1, "0.5x"), "checkpoint array"),
+    "short": (lambda doc: _first_weights(doc).pop(), "checkpoint array"),
+    "no-layers": (lambda doc: doc.pop("layers"), "'layers'"),
+    "bad-beta1": (_periodic_optimizer_with_a_bad_beta1, "could not convert string"),
+}
+
+
+@pytest.mark.parametrize("corrupt,message", list(_BAD_GENERATORS.values()),
+                         ids=list(_BAD_GENERATORS))
+def test_checkpoint_with_bad_values_exits_one(small_gan, tmp_path, capsys, corrupt, message):
     model = tmp_path / "model"
     shutil.copytree(small_gan, model)
     doc = json.loads((model / "generator.json").read_text())
-    values = doc["layers"][0]["arrays"]["weight"]["values"]
-    if corrupt == "non-numeric":
-        values[1] = "0.5x"
-    else:
-        values.pop()
+    corrupt(doc)
     (model / "generator.json").write_text(json.dumps(doc))
     for args in (["generate", "--model", model, "--class", "1", "--out", tmp_path / "s.csv"],
                  ["distances", *SMALL_DATA, "--seed", "7", "--model", model,
                   "--out", tmp_path / "d"]):
         code, err = _error_exit(capsys, *args)
-        assert code == 1 and err.startswith("error: ") and "checkpoint array" in err
+        assert code == 1 and err.startswith("error: ") and message in err
+        assert "generator.json" in err
     assert not (tmp_path / "s.csv").exists()
-    assert not (tmp_path / "d" / "distances.csv").exists()
+    assert not (tmp_path / "d").exists()
+
+
+def test_standardizer_narrower_than_the_generator_exits_one(small_gan, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(small_gan, model)
+    payload = json.loads((model / "preprocessing.json").read_text())
+    for key in ("mean", "std"):
+        payload["standardizer"][key] = payload["standardizer"][key][:3]
+    (model / "preprocessing.json").write_text(json.dumps(payload))
+    for args in (["generate", "--model", model, "--class", "1", "--out", tmp_path / "s.csv"],
+                 ["distances", *SMALL_DATA, "--seed", "7", "--model", model,
+                  "--out", tmp_path / "d"]):
+        code, err = _error_exit(capsys, *args)
+        assert code == 1 and err.startswith("error: ") and "standardizer widths 3" in err
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", "x"), ("seed", True), ("seed", -1), ("seed", 1.5),
+    ("variant", "zzz"), ("variant", None),
+    ("novel_classes", "45"), ("novel_classes", []), ("novel_classes", [1.5]),
+    ("novel_classes", [True]), ("dataset", []), ("synth", "x"), ("gan", []),
+], ids=str)
+def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, field, value):
+    manifest = json.loads((small_gan / "manifest.json").read_text())
+    manifest[field] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("novel", ["9", ","])
+def test_evaluate_with_bad_data_exits_one_before_writing(tmp_path, capsys, novel):
+    code, err = _error_exit(capsys, "evaluate", "--synth-spec", "5,24,6", "--novel-classes",
+                            novel, *FAST, "--variants", "baseline_a,test_2", "--jobs", "2",
+                            "--out", tmp_path / "e")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "e").exists()
+    code, err = _error_exit(capsys, "evaluate", "--dataset", tmp_path / "missing.csv",
+                            "--novel-classes", novel, *FAST, "--out", tmp_path / "e")
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "e").exists()
+
+
+def test_generate_creates_the_directory_of_its_output(small_gan, tmp_path):
+    out = tmp_path / "sub" / "deeper" / "s.csv"
+    assert run_cli("generate", "--model", small_gan, "--class", "1", "-n", "4",
+                   "--seed", "2", "--out", out) == 0
+    flat = tmp_path / "s.csv"
+    assert run_cli("generate", "--model", small_gan, "--class", "1", "-n", "4",
+                   "--seed", "2", "--out", flat) == 0
+    assert out.read_bytes() == flat.read_bytes()
+
+
+# Corrupt JSON inputs: every command that reads one exits 1, says "error:"
+# and leaves --out as it found it.
+
+# replacements of another JSON type than the value they replace; no number,
+# since a number and its decimal string load alike
+_TYPE_SWAPS = ("x", [], {})
+
+
+def _corrupt(data, doc, top_level_only: bool) -> None:
+    """Delete a key, swap a value's type or nest a list one level deeper, at
+    a drawn path of ``doc`` (in its first level only with ``top_level_only``)."""
+    parent = doc
+    while True:
+        key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                                        else range(len(parent))))
+        node = parent[key]
+        if (top_level_only or not isinstance(node, (dict, list)) or not node
+                or data.draw(st.booleans())):
+            break
+        parent = node
+    ops = ["swap"] + ["delete"] * isinstance(parent, dict) + ["nest"] * isinstance(node, list)
+    op = data.draw(st.sampled_from(ops))
+    if op == "delete":
+        del parent[key]
+    elif op == "nest":
+        parent[key] = [node]
+    else:
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in _TYPE_SWAPS if type(v) is not type(node)]))
+
+
+def _state(path: Path):
+    if path.is_dir():
+        return _tree(path)
+    return path.read_bytes() if path.exists() else None
+
+
+def _quiet_cli(*args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*args)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", ["generator.json", "preprocessing.json", "manifest.json"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_corrupt_json_input_exits_one_and_leaves_out_as_it_was(small_gan, name, data):
+    """A manifest is corrupted in its first level only: a replay fills a key
+    absent from its training configs with the default, as for manifests of
+    earlier versions."""
+    text = (small_gan / name).read_text()
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        doc = json.loads(text)
+        if name == "manifest.json":
+            del doc["environment"]  # which a replay ignores
+        _corrupt(data, doc, top_level_only=name == "manifest.json")
+        text = json.dumps(doc)
+    out_exists = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        model = root / "model"
+        model.mkdir()
+        for part in ("generator.json", "preprocessing.json"):
+            shutil.copyfile(small_gan / part, model / part)
+        (model / name).write_text(text)
+        if name == "manifest.json":
+            commands = [["train", "--manifest", model / name, "--out", root / "run"]]
+        else:
+            commands = [["generate", "--model", model, "--class", "1", "--out", root / "s.csv"],
+                        ["distances", *SMALL_DATA, "--seed", "7", "--model", model,
+                         "--out", root / "d"]]
+        for args in commands:
+            out = Path(args[-1])
+            if out_exists and out.suffix == ".csv":
+                out.write_text("earlier")
+            elif out_exists:
+                out.mkdir()
+                (out / "earlier.txt").write_text("earlier")
+            before = _state(out)
+            code, err = _quiet_cli(*args)
+            assert code == 1, (args[0], err)
+            assert err.startswith("error: ") and "Traceback" not in err, err
+            assert _state(out) == before
