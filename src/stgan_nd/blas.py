@@ -1,10 +1,13 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
-Training pins it to one thread: the training matmuls are tiny, and more
-threads only add contention. numpy's wheels bundle OpenBLAS with prefixed
-symbol names (``scipy_openblas_set_num_threads64_``); a system OpenBLAS
-has the plain ``openblas_`` ones. Where numpy uses another BLAS, pinning
-does nothing.
+Every command runs on one thread: the training matmuls are tiny, the
+inference ones gain little from a second thread, and an idle OpenBLAS
+thread spins on a core the set distances can use. The evaluation's
+classifier pass runs at the default count, as it always has: the last bits
+of its 300-wide matmuls depend on the thread count. numpy's wheels bundle
+OpenBLAS with prefixed symbol names (``scipy_openblas_set_num_threads64_``);
+a system OpenBLAS has the plain ``openblas_`` ones. Where numpy uses
+another BLAS, pinning does nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ class OpenBlas(NamedTuple):
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
     config: str | None
+    # the count when first reached: OpenBLAS's own default, one thread per
+    # core unless OPENBLAS_NUM_THREADS sets it
+    default_threads: int
 
 
 @functools.cache
@@ -51,23 +57,33 @@ def openblas() -> OpenBlas | None:
             if get_config is not None:
                 get_config.restype, get_config.argtypes = ctypes.c_char_p, []
                 config = get_config().decode()
-            return OpenBlas(get, set_, config)
+            return OpenBlas(get, set_, config, get())
     return None
 
 
 @contextmanager
-def single_thread():
-    """Run the block on one OpenBLAS thread, then restore the previous count."""
+def _threads(count: Callable[[OpenBlas], int]):
     lib = openblas()
     if lib is None:
         yield
         return
     previous = lib.get_num_threads()
-    lib.set_num_threads(1)
+    lib.set_num_threads(count(lib))
     try:
         yield
     finally:
         lib.set_num_threads(previous)
+
+
+def single_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count."""
+    return _threads(lambda lib: 1)
+
+
+def default_threads():
+    """Run the block at OpenBLAS's default thread count, then restore the
+    previous count."""
+    return _threads(lambda lib: lib.default_threads)
 
 
 def environment() -> dict:

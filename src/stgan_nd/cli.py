@@ -33,7 +33,7 @@ from .experiments import (
     train_variant,
 )
 from .gan import BaselineConfig, GanBundle, GanConfig, generate_samples, write_loss_csv
-from .nn import Network, load_checkpoint, save_checkpoint
+from .nn import INFER_BLOCK_ROWS, Network, load_checkpoint, save_checkpoint
 from .rng import substream
 from .synth import SynthSpec, make_synthetic_dataset
 
@@ -536,13 +536,15 @@ def cmd_generate(args) -> int:
     generator, standardizer = _load_generator(Path(args.model))
     target = args.class_index if args.target is None else args.target
     samples = generate_samples(generator, target, args.count, substream(args.seed, "generate"))
-    samples = standardizer.inverse(samples)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the bytes csv.writer writes: no cell needs quoting, rows end in \r\n
     with open(out, "w", newline="") as handle:
         handle.write(",".join(f"ch{i}" for i in range(samples.shape[1])) + "\r\n")
-        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in samples.tolist())
+        # block by block, so the feature-unit rows and their text stay block-sized
+        for start in range(0, samples.shape[0], INFER_BLOCK_ROWS):
+            rows = standardizer.inverse(samples[start:start + INFER_BLOCK_ROWS]).tolist()
+            handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     print(f"wrote {samples.shape[0]} samples to {out}")
     return 0
 
@@ -562,7 +564,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
-        return _COMMANDS[args.command](args)
+        with blas.single_thread():
+            return _COMMANDS[args.command](args)
     except NumericError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 2

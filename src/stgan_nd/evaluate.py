@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +98,18 @@ class DistanceReport:
                 )
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
+def _set_distance_stats(x: np.ndarray, y: np.ndarray, exclude_self: bool = False
+                        ) -> tuple[float, float]:
+    """Mean and std of ``pairwise_set_distance(x, y, exclude_self)``."""
+    values = pairwise_set_distance(x, y, exclude_self)
     return float(values.mean()), float(values.std())
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def distance_report(real_by_class: dict, generated_by_class: dict | None,
@@ -107,17 +119,26 @@ def distance_report(real_by_class: dict, generated_by_class: dict | None,
     Baseline: real-vs-real with the self pair excluded. GAN and random:
     each generated/random sample against the real set of its class. The
     GAN column may be omitted by passing None.
+
+    Each set distance runs on a thread pool with one worker per usable
+    CPU: numpy releases the interpreter lock in its loops, and every set
+    is computed exactly as on one thread.
     """
-    per_class = {}
-    for cls in sorted(real_by_class):
-        real = np.asarray(real_by_class[cls], dtype=float)
-        baseline = _mean_std(pairwise_set_distance(real, real, exclude_self=True))
-        gan = None
-        if generated_by_class is not None:
-            gan = _mean_std(pairwise_set_distance(real, generated_by_class[cls]))
-        rand = _mean_std(pairwise_set_distance(real, random_by_class[cls]))
-        per_class[cls] = ClassDistances(baseline=baseline, gan=gan, random=rand)
-    return DistanceReport(per_class)
+    classes = sorted(real_by_class)
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        jobs = {}
+        for cls in classes:
+            real = np.asarray(real_by_class[cls], dtype=float)
+            jobs[cls] = (
+                pool.submit(_set_distance_stats, real, real, True),
+                None if generated_by_class is None
+                else pool.submit(_set_distance_stats, real, generated_by_class[cls]),
+                pool.submit(_set_distance_stats, real, random_by_class[cls]),
+            )
+    return DistanceReport({
+        cls: ClassDistances(*(None if job is None else job.result() for job in jobs[cls]))
+        for cls in classes
+    })
 
 
 # decision or truth code for "others": a demoted decision, or a novel sample

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as D
+from .blas import default_threads
 from .data import Dataset, HoldOut, SplitAssignment, Standardizer
 from .errors import SpecError
 from .evaluate import (
@@ -173,7 +174,11 @@ def evaluate_model(net: Network, prep: PreparedData, target_gcas) -> VariantEval
     """Score a classifier on the trained-class test split plus all novel samples."""
     x_eval = np.concatenate([prep.x_test, prep.x_novel])
     truths = np.concatenate([prep.y_test, np.full(len(prep.x_novel), OTHERS)])
-    outputs, _ = net.forward([x_eval], INFER)
+    # the last bits of a 300-wide matmul depend on the OpenBLAS thread
+    # count: score at the default count, as evaluations always have, so
+    # their ROC files stay bit-identical
+    with default_threads():
+        outputs, _ = net.forward([x_eval], INFER)
     class_probs = outputs[-1]
 
     rows = [compute_gca_nda(classify_with_threshold(class_probs, 0.0), truths)]

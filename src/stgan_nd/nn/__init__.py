@@ -3,6 +3,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .layers import INFER, TRAIN
 from .losses import LossValue, binary_cross_entropy, categorical_cross_entropy, composite_loss
 from .network import (
+    INFER_BLOCK_ROWS,
     Gradients,
     Network,
     clone_network,

@@ -38,6 +38,11 @@ class Layer:
     def backward(self, cache, grad, out=None, input_only=False):
         raise NotImplementedError
 
+    def infer(self, x, in_place=False):
+        """The INFER-mode output of ``x``. With ``in_place`` the layer may
+        write it into ``x``, which the caller allocated and no longer needs."""
+        return self.forward(x, INFER)[0]
+
     def _check_width(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.in_width:
             raise ShapeError(
@@ -92,6 +97,10 @@ class ReLU(_Elementwise):
         self._check_width(x)
         mask = x > 0.0
         return x * mask, mask
+
+    def infer(self, x, in_place=False):
+        # x * mask, not max(x, 0): a negative input gives -0.0, as in forward
+        return np.multiply(x, x > 0.0, out=x if in_place else None)
 
     def backward(self, cache, grad, out=None, input_only=False):
         return grad * cache, []
@@ -206,12 +215,7 @@ class BatchNorm(_Elementwise):
     def forward(self, x, mode, rng=None, update_stats=True):
         self._check_width(x)
         if mode == INFER:
-            # gamma * (x - mean) / sqrt(var + eps) + beta, in one array
-            out = x - self.running_mean
-            out /= np.sqrt(self.running_var + self.eps)
-            out *= self.gamma
-            out += self.beta
-            return out, None
+            return self.infer(x), None
         mean = x.mean(axis=0)
         var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + self.eps)
@@ -221,6 +225,14 @@ class BatchNorm(_Elementwise):
             self.running_mean = m * self.running_mean + (1.0 - m) * mean
             self.running_var = m * self.running_var + (1.0 - m) * var
         return self.gamma * x_hat + self.beta, (x_hat, inv_std)
+
+    def infer(self, x, in_place=False):
+        # gamma * (x - mean) / sqrt(var + eps) + beta, in one array
+        out = np.subtract(x, self.running_mean, out=x if in_place else None)
+        out /= np.sqrt(self.running_var + self.eps)
+        out *= self.gamma
+        out += self.beta
+        return out
 
     def backward(self, cache, grad, out=None, input_only=False):
         if cache is None:

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from stgan_nd import cli
 from stgan_nd.data import stochastic_target_batch
-from stgan_nd.errors import NumericError
+from stgan_nd.errors import NumericError, SpecError
 from stgan_nd.evaluate import pairwise_set_distance
 from stgan_nd.experiments import distance_tables, prepare_data
-from stgan_nd.gan import GanConfig, generate_samples
-from stgan_nd.nn import load_checkpoint
+from stgan_nd.gan import GENERATOR_HIDDEN, GanConfig, generate_samples
+from stgan_nd.nn import INFER_BLOCK_ROWS, load_checkpoint
 from stgan_nd.rng import substream
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
@@ -701,10 +701,17 @@ def test_standardizer_narrower_than_the_generator_exits_one(small_gan, tmp_path,
     ("variant", "zzz"), ("variant", None),
     ("novel_classes", "45"), ("novel_classes", []), ("novel_classes", [1.5]),
     ("novel_classes", [True]), ("dataset", []), ("synth", "x"), ("gan", []),
+    ("gan.adam_beta1", "x"), ("gan.epochs", True), ("gan.latent_size", 2.5),
+    ("gan.lr_g", None), ("baseline.adam_beta1", "x"), ("baseline.max_epochs", True),
+    ("baseline.stochastic", 0),
 ], ids=str)
 def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, field, value):
     manifest = json.loads((small_gan / "manifest.json").read_text())
-    manifest[field] = value
+    *parents, key = field.split(".")  # "gan.epochs" is manifest["gan"]["epochs"]
+    node = manifest
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(manifest))
     code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
@@ -723,6 +730,63 @@ def test_evaluate_with_bad_data_exits_one_before_writing(tmp_path, capsys, novel
                             "--novel-classes", novel, *FAST, "--out", tmp_path / "e")
     assert code == 1 and err.startswith("error: ")
     assert not (tmp_path / "e").exists()
+
+
+def test_generate_memory_stays_within_blocks_and_its_output(small_gan, tmp_path):
+    import tracemalloc
+
+    n = 20_000
+    out = tmp_path / "s.csv"
+    args = cli.build_parser().parse_args(
+        ["generate", "--model", str(small_gan), "--class", "1", "-n", str(n),
+         "--seed", "0", "--out", str(out)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.cmd_generate(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text().count("\n") == n + 1
+    generator, _, _ = load_checkpoint(small_gan / "generator.json")
+    latent, n_classes = generator.spec.input_widths
+    features = generator.spec.output_heads[0][0]
+    # the (n, features) output, the latent and target inputs, and a few
+    # block-sized buffers, with room for the checkpoint load; one
+    # (n, 256) hidden array is 41 MB
+    whole = n * (features + latent + n_classes) * 8
+    block = INFER_BLOCK_ROWS * GENERATOR_HIDDEN * 8
+    assert peak - before < whole + 8 * block < n * GENERATOR_HIDDEN * 8
+
+
+def test_every_command_runs_on_one_blas_thread_and_restores_the_count(
+        monkeypatch, tmp_path, capsys):
+    from stgan_nd import blas
+
+    lib = blas.openblas()
+    if lib is None:
+        pytest.skip("numpy is not using an OpenBLAS here")
+    seen = []
+    synth = cli._COMMANDS["synth"]
+
+    def spy(args):
+        seen.append(lib.get_num_threads())
+        if args.spec[0] == 1:
+            raise SpecError("one class")
+        return synth(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", spy)
+    original = lib.get_num_threads()
+    try:
+        lib.set_num_threads(2)
+        assert run_cli("synth", "--spec", "3,4,2", "--out", tmp_path / "d.csv") == 0
+        assert lib.get_num_threads() == 2
+        assert run_cli("synth", "--spec", "1,4,2", "--out", tmp_path / "e.csv") == 1
+        assert lib.get_num_threads() == 2
+    finally:
+        lib.set_num_threads(original)
+    assert seen == [1, 1]
 
 
 def test_generate_creates_the_directory_of_its_output(small_gan, tmp_path):

@@ -136,6 +136,25 @@ def test_distance_report_columns():
     assert no_gan.per_class[0].gan is None
 
 
+def test_distance_report_equals_the_sets_computed_one_by_one():
+    rng = np.random.default_rng(2)
+    real = {cls: rng.standard_normal((20 + 3 * cls, 5)) + cls for cls in range(7)}
+    generated = {cls: rng.standard_normal((40, 5)) for cls in range(7)}
+    random_samples = {cls: rng.standard_normal((35, 5)) for cls in range(7)}
+    report = distance_report(real, generated, random_samples)
+    assert list(report.per_class) == list(range(7))
+    for cls, row in report.per_class.items():
+        for got, values in (
+                (row.baseline, pairwise_set_distance(real[cls], real[cls], exclude_self=True)),
+                (row.gan, pairwise_set_distance(real[cls], generated[cls])),
+                (row.random, pairwise_set_distance(real[cls], random_samples[cls]))):
+            assert got == (float(values.mean()), float(values.std()))
+    # a worker's error reaches the caller
+    random_samples[5] = rng.standard_normal((35, 4))
+    with pytest.raises(ShapeError):
+        distance_report(real, generated, random_samples)
+
+
 def test_generation_spread_zero_for_collapsed_samples():
     collapsed = np.tile([1.0, 2.0], (40, 1))
     assert generation_spread(collapsed) == 0.0

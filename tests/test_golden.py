@@ -2,10 +2,12 @@
 
 The matrix: ``synth --spec 5,30,6``, ``evaluate`` of all four variants at
 3 epochs with ``--jobs 1`` and with ``--jobs 2``, ``distances`` with the
-``test_2`` model, and two ``generate`` commands. Every output file but the
-manifests is hashed: checkpoints by their arrays' float64 bits and the
-rest of their document, every other file by its bytes. A change to the
-outputs that is meant updates ``golden_digests.json`` by running this file:
+``test_2`` model, and two ``generate`` commands; then one ``distances``
+and one ``generate`` whose inference runs in several row blocks
+(``INFER_BLOCK_ROWS``). Every output file but the manifests is hashed:
+checkpoints by their arrays' float64 bits and the rest of their document,
+every other file by its bytes. A change to the outputs that is meant
+updates ``golden_digests.json`` by running this file:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -41,6 +43,10 @@ def _run_matrix(root: Path) -> None:
          "--seed", "3", "--out", root / "class2.csv")
     _run("generate", "--model", root / "ev1" / "test_3", "--target", "0.4,0.3,0.2,0.1",
          "-n", "50", "--seed", "4", "--out", root / "mixture.csv")
+    _run("distances", "--dataset", data, *DATA, "--model", root / "ev1" / "test_2",
+         "--n-generated", "1100", "--out", root / "dist_blocks")
+    _run("generate", "--model", root / "ev1" / "test_2", "--class", "1", "-n", "1300",
+         "--seed", "6", "--out", root / "class1_blocks.csv")
 
 
 def _arrays_as_bits(node):

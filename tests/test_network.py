@@ -4,8 +4,10 @@ from conftest import central_difference, relative_error
 from hypothesis import given, settings, strategies as st
 
 from stgan_nd.errors import ShapeError, SpecError, StateError
+from stgan_nd.gan import GENERATOR_HIDDEN, build_generator
 from stgan_nd.nn import (
     INFER,
+    INFER_BLOCK_ROWS,
     TRAIN,
     NetworkSpec,
     binary_cross_entropy,
@@ -228,7 +230,10 @@ def _reference_infer(net, inputs):
     widths=st.lists(st.integers(1, 12), min_size=6, max_size=6),
     heads=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(["linear", "softmax"])),
                    min_size=1, max_size=2),
-    batch=st.integers(1, 40),
+    # small batches, and batches around the row-block size
+    batch=st.one_of(st.integers(1, 40), st.sampled_from(
+        [INFER_BLOCK_ROWS + d for d in (-1, 0, 1)]
+        + [2 * INFER_BLOCK_ROWS + 1, 3 * INFER_BLOCK_ROWS + 7])),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_infer_forward_equals_the_out_of_place_reference_bit_for_bit(
@@ -250,3 +255,24 @@ def test_infer_forward_equals_the_out_of_place_reference_bit_for_bit(
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     for a, b in zip(x, before):  # the caller's inputs are left as they were
         np.testing.assert_array_equal(a, b)
+
+
+def test_infer_forward_allocates_no_full_batch_hidden_array():
+    import tracemalloc
+
+    n, hidden = 20_000, GENERATOR_HIDDEN
+    gen = build_generator(n_features=16, n_classes=8, latent_size=8, seed=0)
+    rng = np.random.default_rng(0)
+    z, targets = rng.standard_normal((n, 8)), rng.random((n, 8))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        (out,), _ = gen.forward([z, targets], INFER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, 16)
+    # the output plus a few block-sized buffers; one (n, 256) array is 41 MB
+    block = INFER_BLOCK_ROWS * hidden * 8
+    assert peak - before < out.nbytes + 4 * block < n * hidden * 8
