@@ -2,9 +2,10 @@
 
 Every command runs on one thread: the training matmuls are tiny, the
 inference ones gain little from a second thread, and an idle OpenBLAS
-thread spins on a core the set distances can use. The evaluation's
-classifier pass runs at the default count, as it always has: the last bits
-of its 300-wide matmuls depend on the thread count. numpy's wheels bundle
+thread spins on a core the set distances can use. One thread also makes
+the outputs the same on any machine: the last bits of the discriminator's
+300-wide matmuls depend on the thread count, so the evaluation's ROC files
+would otherwise depend on the core count. numpy's wheels bundle
 OpenBLAS with prefixed symbol names (``scipy_openblas_set_num_threads64_``);
 a system OpenBLAS has the plain ``openblas_`` ones. Where numpy uses
 another BLAS, pinning does nothing.
@@ -25,9 +26,6 @@ class OpenBlas(NamedTuple):
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
     config: str | None
-    # the count when first reached: OpenBLAS's own default, one thread per
-    # core unless OPENBLAS_NUM_THREADS sets it
-    default_threads: int
 
 
 @functools.cache
@@ -57,33 +55,23 @@ def openblas() -> OpenBlas | None:
             if get_config is not None:
                 get_config.restype, get_config.argtypes = ctypes.c_char_p, []
                 config = get_config().decode()
-            return OpenBlas(get, set_, config, get())
+            return OpenBlas(get, set_, config)
     return None
 
 
 @contextmanager
-def _threads(count: Callable[[OpenBlas], int]):
+def single_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count."""
     lib = openblas()
     if lib is None:
         yield
         return
     previous = lib.get_num_threads()
-    lib.set_num_threads(count(lib))
+    lib.set_num_threads(1)
     try:
         yield
     finally:
         lib.set_num_threads(previous)
-
-
-def single_thread():
-    """Run the block on one OpenBLAS thread, then restore the previous count."""
-    return _threads(lambda lib: 1)
-
-
-def default_threads():
-    """Run the block at OpenBLAS's default thread count, then restore the
-    previous count."""
-    return _threads(lambda lib: lib.default_threads)
 
 
 def environment() -> dict:

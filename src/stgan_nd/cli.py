@@ -15,7 +15,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -495,6 +494,9 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, job, str(out), prep) for job in _evaluation_jobs(variants)]
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: multiprocessing is a start-up cost every other command skips
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             done = [r for job_results in pool.map(_evaluate_one, jobs) for r in job_results]
     else:

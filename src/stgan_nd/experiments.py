@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as D
-from .blas import default_threads
+from .blas import single_thread
 from .data import Dataset, HoldOut, SplitAssignment, Standardizer
 from .errors import SpecError
 from .evaluate import (
@@ -175,9 +175,8 @@ def evaluate_model(net: Network, prep: PreparedData, target_gcas) -> VariantEval
     x_eval = np.concatenate([prep.x_test, prep.x_novel])
     truths = np.concatenate([prep.y_test, np.full(len(prep.x_novel), OTHERS)])
     # the last bits of a 300-wide matmul depend on the OpenBLAS thread
-    # count: score at the default count, as evaluations always have, so
-    # their ROC files stay bit-identical
-    with default_threads():
+    # count: one thread makes the scores the same on any machine
+    with single_thread():
         outputs, _ = net.forward([x_eval], INFER)
     class_probs = outputs[-1]
 

@@ -4,11 +4,18 @@ Float64 values are written as JSON numbers in their shortest-repr decimal
 form, which round-trips exactly, so a reloaded network is bit-identical to
 the saved one. Files of earlier versions hold each value as a decimal
 string; they load the same way.
+
+A save streams the document to a temporary file in the target's directory,
+each array in chunks of ``_CHUNK`` values, so its memory does not grow with
+the network; the bytes are those of ``json.dumps(doc, separators=(",", ":"))``
+of the whole document. The file then replaces the target in one step, so a
+save that fails leaves the previous file, or none, never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +27,47 @@ from .network import Network, init_network
 from .specs import NetworkSpec
 
 FORMAT = "stgan-nd-checkpoint-v1"
+_CHUNK = 4096  # array values encoded per write
+_SEPARATORS = (",", ":")
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    flat = np.asarray(arr, dtype=float).ravel(order="C")
-    return {"shape": list(arr.shape), "values": flat.tolist()}
+    # the flat float64 view; _write_json writes its values chunk by chunk
+    return {"shape": list(arr.shape), "values": np.asarray(arr, dtype=float).ravel(order="C")}
+
+
+def _encode_chunk(values: np.ndarray) -> str:
+    """The JSON numbers of ``values`` joined by commas, without brackets."""
+    return json.dumps(values.tolist(), separators=_SEPARATORS)[1:-1]
+
+
+def _write_json(write, node) -> None:
+    """Write ``node`` as ``json.dumps(node, separators=_SEPARATORS)`` does,
+    with each flat array's values encoded ``_CHUNK`` at a time."""
+    if isinstance(node, np.ndarray):
+        write("[")
+        for start in range(0, node.size, _CHUNK):
+            if start:
+                write(",")
+            write(_encode_chunk(node[start:start + _CHUNK]))
+        write("]")
+    elif isinstance(node, dict):
+        write("{")
+        for i, (key, value) in enumerate(node.items()):
+            if i:
+                write(",")
+            write(json.dumps(key) + ":")
+            _write_json(write, value)
+        write("}")
+    elif isinstance(node, list):
+        write("[")
+        for i, value in enumerate(node):
+            if i:
+                write(",")
+            _write_json(write, value)
+        write("]")
+    else:
+        write(json.dumps(node, separators=_SEPARATORS))
 
 
 def _decode_array(payload: dict) -> np.ndarray:
@@ -86,8 +129,8 @@ def _restore_layer(layer, arrays: dict) -> None:
             setattr(layer, name, value)
 
 
-def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
-                    rng_seed: int | None = None) -> None:
+def _document(net: Network, optimizer: AdamState | None, rng_seed: int | None) -> dict:
+    """The checkpoint document, each array left as its flat float64 view."""
     doc = {
         "format": FORMAT,
         "spec": net.spec.to_dict(),
@@ -120,7 +163,20 @@ def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
             "first_moment": [_encode_array(optimizer.first_moment)],
             "second_moment": [_encode_array(optimizer.second_moment)],
         }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")))
+    return doc
+
+
+def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
+                    rng_seed: int | None = None) -> None:
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="ascii") as handle:
+            _write_json(handle.write, _document(net, optimizer, rng_seed))
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stgan_nd.errors import DataError
 from stgan_nd.nn import (
@@ -15,7 +15,8 @@ from stgan_nd.nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from stgan_nd.nn.checkpoint import _decode_array
+from stgan_nd.nn import checkpoint
+from stgan_nd.nn.checkpoint import _CHUNK, _decode_array, _document
 from stgan_nd.nn.specs import (
     HEAD_ACTIVATIONS,
     batch_norm,
@@ -317,3 +318,104 @@ def test_bad_array_entries_raise_data_error(tmp_path, entry, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match):
         load_checkpoint(path)
+
+
+# ------------------------------------------------------------- streamed writer
+
+def _plain(node):
+    """The document with every array as a list, as ``json.dumps`` takes it."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: _plain(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_plain(v) for v in node]
+    return node
+
+
+def _chunk_edge_spec(width):
+    # arrays of `width` values and a head whose bias holds one value
+    return NetworkSpec((1,), (dense(width),), ((1, "sigmoid"),))
+
+
+_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=st.one_of(_network_specs(), st.sampled_from(_EDGES).map(_chunk_edge_spec)),
+       seed=st.integers(0, 2 ** 32 - 1), with_optimizer=st.booleans(),
+       first=st.sampled_from([0.5, 0.1 + 0.2, -0.0, 2.0 ** -1074, -1.5e16, 1e300,
+                              float("nan"), float("inf"), float("-inf")]))
+@example(spec=_chunk_edge_spec(_CHUNK - 1), seed=1, with_optimizer=True, first=0.5)
+@example(spec=_chunk_edge_spec(_CHUNK), seed=2, with_optimizer=False, first=0.5)
+@example(spec=_chunk_edge_spec(_CHUNK + 1), seed=3, with_optimizer=True, first=0.5)
+def test_streamed_file_is_the_json_dump_of_the_document(tmp_path_factory, spec, seed,
+                                                        with_optimizer, first):
+    net = init_network(spec, seed)
+    net.flat_parameters()[0] = first
+    state = None
+    if with_optimizer:
+        state = AdamState.for_params(net.flat_parameters(), 0.001, beta1=0.5, decay=1e-6)
+        state.first_moment[:] = np.random.default_rng(seed).standard_normal(
+            state.first_moment.shape)
+    directory = tmp_path_factory.mktemp("stream")
+    path = directory / "net.json"
+    save_checkpoint(path, net, state, rng_seed=seed)
+
+    expected = json.dumps(_plain(_document(net, state, seed)), separators=(",", ":"))
+    assert path.read_bytes() == expected.encode()
+    assert [p.name for p in directory.iterdir()] == ["net.json"]
+
+
+@pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
+                                     KeyboardInterrupt()])
+@pytest.mark.parametrize("previous", [None, b"previous bytes"])
+def test_a_failed_save_keeps_the_previous_file_and_leaves_no_temporary(
+        tmp_path, monkeypatch, failure, previous):
+    path = tmp_path / "net.json"
+    if previous is not None:
+        path.write_bytes(previous)
+    encoded = []
+    real_encode = checkpoint._encode_chunk
+
+    def encode_once(values):
+        if encoded:
+            raise failure
+        encoded.append(values.size)
+        return real_encode(values)
+
+    monkeypatch.setattr(checkpoint, "_encode_chunk", encode_once)
+    with pytest.raises(type(failure)):
+        save_checkpoint(path, _trained_net())
+    assert encoded  # the failure came after a chunk was written
+    if previous is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == previous
+
+
+def test_saving_a_discriminator_with_moments_stays_within_a_few_chunks(tmp_path):
+    import tracemalloc
+
+    spec = NetworkSpec((16,), (dense(300), relu(), dense(300), relu()),
+                       ((1, "sigmoid"), (7, "softmax")))
+    net = init_network(spec, seed=3)
+    rng = np.random.default_rng(4)
+    state = AdamState.for_params(net.flat_parameters(), 0.001)
+    state.first_moment[:] = rng.standard_normal(state.first_moment.shape)
+    state.second_moment[:] = rng.random(state.second_moment.shape)
+    values = 3 * net.flat_parameters().size
+    assert values > 290_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(tmp_path / "d.json", net, state, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-document save holds every value as a Python float and the
+    # encoded text twice: 22 MB here
+    assert peak - before < 2_000_000
+    assert (tmp_path / "d.json").stat().st_size > 5_000_000

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -787,6 +789,14 @@ def test_every_command_runs_on_one_blas_thread_and_restores_the_count(
     finally:
         lib.set_num_threads(original)
     assert seen == [1, 1]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    source = Path(cli.__file__).parents[1]
+    probe = "import sys, stgan_nd.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(source)}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_generate_creates_the_directory_of_its_output(small_gan, tmp_path):

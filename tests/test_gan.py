@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -397,3 +398,37 @@ def test_train_gan_runs_on_one_blas_thread(monkeypatch):
     assert seen and set(seen) == {1}
     assert blas.environment()["training_blas_threads"] == 1
     assert lib.get_num_threads() == before
+
+
+def test_evaluate_model_scores_on_one_blas_thread(monkeypatch):
+    from stgan_nd import blas
+    from stgan_nd.experiments import evaluate_model
+    from stgan_nd.nn import Network
+
+    lib = blas.openblas()
+    if lib is None:
+        pytest.skip("numpy is not using an OpenBLAS here")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS runs one thread on one CPU")
+    ds = make_synthetic_dataset(SynthSpec(n_classes=4, samples_per_class=40,
+                                          n_features=6, seed=2))
+    prep = prepare_data(ds, [3], seed=2)
+    net = build_discriminator(prep.n_features, prep.n_classes, seed=0)
+    seen = []
+    real_forward = Network.forward
+
+    def spy(self, inputs, mode, **kwargs):
+        if mode == INFER:
+            seen.append(lib.get_num_threads())
+        return real_forward(self, inputs, mode, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", spy)
+    original = lib.get_num_threads()
+    try:
+        lib.set_num_threads(2)
+        assert lib.get_num_threads() == 2
+        evaluate_model(net, prep, [0.9])
+        assert lib.get_num_threads() == 2
+    finally:
+        lib.set_num_threads(original)
+    assert seen == [1]
