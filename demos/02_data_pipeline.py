@@ -25,15 +25,15 @@ print(f"trained view: {hold.trained.n_samples} samples over "
 print(f"novel pool: {hold.novel.n_samples} samples, excluded from fitting")
 
 print("\n== deterministic stratified 60/20/20 split ==")
-split = split_dataset(hold.trained, seed=1)
-print("split sizes:", split.counts())
+tags = split_dataset(hold.trained, seed=1)
+print("train/val/test sizes:", np.bincount(tags, minlength=3).tolist())
 again = split_dataset(hold.trained, seed=1)
-print("same seed reproduces the split:", bool(np.array_equal(split.tags, again.tags)))
+print("same seed reproduces the split:", bool(np.array_equal(tags, again)))
 
 print("\n== standardization is fitted on the training rows only ==")
-features = hold.trained.features()
-standardizer = fit_standardizer(features[split.mask(TRAIN)])
-z = standardizer.transform(features[split.mask(TRAIN)])
+train_rows = hold.trained.features[tags == TRAIN]
+standardizer = fit_standardizer(train_rows)
+z = standardizer.transform(train_rows)
 print(f"train after transform: mean {np.abs(z.mean(axis=0)).max():.2e}, "
       f"std deviation from 1: {np.abs(z.std(axis=0) - 1).max():.2e}")
 

@@ -50,16 +50,20 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(type(v) is int for v in value)
+
+
 @dataclass
 class RunConfig:
     dataset: str | None
     channels: list[int] | None
-    synth: dict | None
+    synth: SynthSpec | None
     novel_classes: list[int]
     variant: str
     target_gca: list[float]
-    gan: dict
-    baseline: dict
+    gan: GanConfig
+    baseline: BaselineConfig
     seed: int
 
     def __post_init__(self):
@@ -69,8 +73,10 @@ class RunConfig:
             raise SpecError(f"dataset must be a path, got {self.dataset!r}")
         if self.synth is not None and self.channels is not None:
             raise SpecError("--channels applies to --dataset only, not to --synth-spec")
-        if not (isinstance(self.novel_classes, list) and self.novel_classes
-                and all(type(c) is int for c in self.novel_classes)):
+        if self.channels is not None and not _is_int_list(self.channels):
+            raise SpecError(f"channels must be a non-empty list of integers, "
+                            f"got {self.channels!r}")
+        if not _is_int_list(self.novel_classes):
             raise SpecError(f"novel classes must be a non-empty list of integers, "
                             f"got {self.novel_classes!r}")
         if self.variant not in VARIANTS:
@@ -80,16 +86,6 @@ class RunConfig:
             raise SpecError(f"target GCA values must be numbers in [0, 1], got {self.target_gca}")
         if type(self.seed) is not int or self.seed < 0:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
-        try:
-            self.gan_config()
-            self.baseline_config()
-            if self.synth is not None:
-                SynthSpec(**self.synth)
-        except TypeError as exc:
-            raise DataError(f"bad training or dataset config: {exc}") from None
-
-    def to_manifest(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "RunConfig":
@@ -107,14 +103,15 @@ class RunConfig:
             if gan["real_targets_stochastic"] is not True:
                 raise DataError("manifest trains with one-hot real targets "
                                 "(real_targets_stochastic false), which is not supported")
-            values["gan"] = {k: v for k, v in gan.items() if k != "real_targets_stochastic"}
+            gan = {k: v for k, v in gan.items() if k != "real_targets_stochastic"}
+        try:
+            values["gan"] = GanConfig(**gan)
+            values["baseline"] = BaselineConfig(**values["baseline"])
+            if values["synth"] is not None:
+                values["synth"] = SynthSpec(**values["synth"])
+        except TypeError as exc:
+            raise DataError(f"bad training or dataset config: {exc}") from None
         return cls(**values)
-
-    def gan_config(self) -> GanConfig:
-        return GanConfig(**self.gan)
-
-    def baseline_config(self) -> BaselineConfig:
-        return BaselineConfig(**self.baseline)
 
 
 def _read_json(path: Path, what: str):
@@ -127,7 +124,7 @@ def _read_json(path: Path, what: str):
 
 
 def _write_manifest(config: RunConfig, out: Path) -> None:
-    payload = {**config.to_manifest(), ENVIRONMENT: blas.environment()}
+    payload = {**asdict(config), ENVIRONMENT: blas.environment()}
     (out / "manifest.json").write_text(json.dumps(payload, indent=1))
 
 
@@ -139,7 +136,7 @@ def _same_config(manifest: Path, config: RunConfig) -> bool:
         return False
     if isinstance(stored, dict):
         stored.pop(ENVIRONMENT, None)
-    return stored == json.loads(json.dumps(config.to_manifest()))
+    return stored == json.loads(json.dumps(asdict(config)))
 
 
 # argparse ``type=`` callables; argparse reports their ArgumentTypeError as
@@ -206,7 +203,6 @@ def _add_data_args(p: _Parser) -> None:
 
 
 def _add_train_args(p: _Parser) -> None:
-    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--batch-size", type=int, help="override batch size")
     p.add_argument("--latent-size", type=int, help="generator latent width")
@@ -228,6 +224,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one experiment variant")
     _add_data_args(p)
     _add_train_args(p)
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--manifest", help="replay a previous run's manifest.json")
 
@@ -240,8 +237,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="accuracy tables, ROC and AUC per variant")
     _add_data_args(p)
     _add_train_args(p)
-    p.add_argument("--variants", type=_parse_variants,
-                   help="comma-separated list; overrides --variant")
+    p.add_argument("--variants", type=_parse_variants, default="test_2",
+                   help="comma-separated list (default %(default)s)")
     p.add_argument("--target-gca", type=_parse_floats,
                    help="comma-separated target GCA values")
     p.add_argument("--jobs", type=_parse_positive_int, default=1,
@@ -267,19 +264,19 @@ def _run_config_from_args(args) -> RunConfig:
     overrides = {name: getattr(args, name) for name in ("epochs", "batch_size", "latent_size")
                  if getattr(args, name) is not None}
     preset = GanConfig.uc2017 if args.preset == "uc2017" else GanConfig
-    baseline = BaselineConfig(seed=args.seed)
-    if args.epochs is not None:
-        baseline = replace(baseline, max_epochs=args.epochs)
+    # the supervised runs share the epoch count, as their maximum, and the batch size
+    supervised = {"max_epochs": args.epochs, "batch_size": args.batch_size}
+    baseline = BaselineConfig(seed=args.seed,
+                              **{k: v for k, v in supervised.items() if v is not None})
     return RunConfig(
         dataset=str(Path(args.dataset).resolve()) if args.dataset else None,
         channels=args.channels,
-        synth=(asdict(SynthSpec(*args.synth_spec, seed=args.synth_seed))
-               if args.synth_spec else None),
+        synth=SynthSpec(*args.synth_spec, seed=args.synth_seed) if args.synth_spec else None,
         novel_classes=args.novel_classes,
         variant=args.variant,
         target_gca=args.target_gca,
-        gan=asdict(preset(seed=args.seed, **overrides)),
-        baseline=asdict(baseline),
+        gan=preset(seed=args.seed, **overrides),
+        baseline=baseline,
         seed=args.seed,
     )
 
@@ -288,14 +285,14 @@ def _prepare(config: RunConfig) -> PreparedData:
     if config.dataset is not None:
         ds = load_dataset(config.dataset, channels=config.channels)
     else:
-        ds = make_synthetic_dataset(SynthSpec(**config.synth))
+        ds = make_synthetic_dataset(config.synth)
     return prepare_data(ds, config.novel_classes, config.seed)
 
 
 def _preprocessing(prep: PreparedData) -> dict:
     return {
         "standardizer": prep.standardizer.to_dict(),
-        "class_map": {str(k): v for k, v in prep.hold_out.class_map.items()},
+        "class_map": {str(k): v for k, v in prep.class_map.items()},
         "n_features": prep.n_features,
         "n_classes": prep.n_classes,
     }
@@ -351,7 +348,7 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
     _write_manifest(config, out)
     bundle, gan_dir = gan if gan is not None else (None, None)
     model = train_variant(
-        prep, config.variant, config.gan_config(), config.baseline_config(),
+        prep, config.variant, config.gan, config.baseline,
         checkpoint_dir=out / "checkpoints", bundle=bundle,
     )
     (out / "preprocessing.json").write_text(json.dumps(_preprocessing(prep), indent=1))
@@ -488,11 +485,10 @@ def _evaluation_jobs(variants: list[str]) -> list[list[str]]:
 
 def cmd_evaluate(args) -> int:
     config = _run_config_from_args(args)
-    variants = args.variants or [config.variant]
     prep = _prepare(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config, job, str(out), prep) for job in _evaluation_jobs(variants)]
+    jobs = [(config, job, str(out), prep) for job in _evaluation_jobs(args.variants)]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: multiprocessing is a start-up cost every other command skips
         from concurrent.futures import ProcessPoolExecutor
@@ -502,7 +498,7 @@ def cmd_evaluate(args) -> int:
     else:
         done = [r for job in jobs for r in _evaluate_one(job)]
     by_variant = {result["variant"]: result for result in done}
-    results = [by_variant[v] for v in variants]
+    results = [by_variant[v] for v in args.variants]
 
     _write_accuracy_csv(results, config.target_gca, out / "accuracy.csv")
     (out / "report.json").write_text(json.dumps(results, indent=1))

@@ -2,7 +2,8 @@
 
 Feature datasets are CSV files with a ``ch0,...,ch{d-1},label`` header.
 Raw time-series datasets are a manifest CSV (``path,label``) pointing at
-one numeric CSV per sample (t rows by d channels, no header).
+one numeric CSV per sample (t rows by d channels, no header); each sample
+is reduced to its feature vector on load.
 """
 
 from __future__ import annotations
@@ -18,70 +19,38 @@ from .errors import DataError, SpecError
 from .rng import substream
 
 TRAIN, VAL, TEST = 0, 1, 2
-_SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
 
 
 @dataclass
 class Dataset:
-    """Labelled samples: either an (n, d) feature matrix or a list of raw
-    (t, d) matrices awaiting feature extraction."""
+    """Labelled samples: an (n, d) feature matrix and one label per row."""
 
-    samples: np.ndarray | list[np.ndarray]
+    features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.labels.ndim != 1:
             raise DataError("labels must be a flat vector")
         if np.any(self.labels < 0):
             raise DataError("labels must be non-negative")
-        if self.is_raw:
-            widths = {s.shape[1] for s in self.samples}
-            if len(widths) > 1:
-                raise DataError(f"raw samples disagree on channel count: {sorted(widths)}")
-            n = len(self.samples)
-        else:
-            self.samples = np.asarray(self.samples, dtype=float)
-            if self.samples.ndim != 2:
-                raise DataError("feature samples must form a 2-D matrix")
-            n = self.samples.shape[0]
-        if n != self.labels.size:
-            raise DataError(f"{n} samples but {self.labels.size} labels")
-
-    @property
-    def is_raw(self) -> bool:
-        return isinstance(self.samples, list)
+        if self.features.ndim != 2:
+            raise DataError("features must form a 2-D matrix")
+        if self.n_samples != self.labels.size:
+            raise DataError(f"{self.n_samples} samples but {self.labels.size} labels")
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples) if self.is_raw else self.samples.shape[0]
+        return self.features.shape[0]
 
     @property
     def n_features(self) -> int:
-        if self.is_raw:
-            raise DataError("raw dataset has no feature width until extraction")
-        return self.samples.shape[1]
+        return self.features.shape[1]
 
     @property
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
-
-    def features(self) -> np.ndarray:
-        if self.is_raw:
-            raise DataError("extract features from raw samples first")
-        return self.samples
-
-
-@dataclass
-class SplitAssignment:
-    tags: np.ndarray  # per-sample TRAIN/VAL/TEST
-    seed: int
-
-    def mask(self, tag: int) -> np.ndarray:
-        return self.tags == tag
-
-    def counts(self) -> dict[str, int]:
-        return {name: int(np.sum(self.tags == tag)) for tag, name in _SPLIT_NAMES.items()}
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:
@@ -156,7 +125,8 @@ def _select_channels(matrix: np.ndarray, channels: list[int] | None, path) -> np
 
 
 def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
-    samples, labels = [], []
+    """Each listed recording reduced to its feature vector as it is read."""
+    features, labels = [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         next(reader)  # header
@@ -169,25 +139,27 @@ def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
             if not sample_path.exists():
                 raise DataError(f"{path}: row {i} points at missing file {cells[0]}")
             sample = _read_numeric_csv(sample_path, skip_header=False)
-            sample = _select_channels(sample, channels, sample_path)
-            samples.append(sample)
+            vector = extract_features(_select_channels(sample, channels, sample_path))
+            if features and vector.size != features[0].size:
+                raise DataError(f"{path}: row {i} sample has {vector.size} channels, "
+                                f"the first has {features[0].size}")
+            features.append(vector)
             label = _parse_cell(cells[1], i, 1)
             if label != round(label):
                 raise DataError(f"{path}: row {i} label must be an integer")
             labels.append(int(label))
-    if not samples:
+    if not features:
         raise DataError(f"{path}: manifest lists no samples")
-    return Dataset(samples, np.array(labels))
+    return Dataset(np.array(features), np.array(labels))
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write a feature dataset in the standard CSV format."""
-    features = ds.features()
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"ch{i}" for i in range(ds.n_features)] + ["label"])
-        for row, label in zip(features, ds.labels):
+        for row, label in zip(ds.features, ds.labels):
             writer.writerow([repr(float(x)) for x in row] + [int(label)])
 
 
@@ -199,16 +171,9 @@ def extract_features(sample: np.ndarray) -> np.ndarray:
     return sample.std(axis=0)
 
 
-def extract_features_dataset(ds: Dataset) -> Dataset:
-    """Map a raw dataset to its feature-vector form."""
-    if not ds.is_raw:
-        return ds
-    features = np.stack([extract_features(s) for s in ds.samples])
-    return Dataset(features, ds.labels.copy())
-
-
-def split_dataset(ds: Dataset, seed: int) -> SplitAssignment:
-    """Stratified 60/20/20 split, deterministic in (dataset, seed)."""
+def split_dataset(ds: Dataset, seed: int) -> np.ndarray:
+    """Stratified 60/20/20 split, deterministic in (dataset, seed): the
+    TRAIN, VAL or TEST tag of each sample."""
     rng = substream(seed, "split")
     tags = np.empty(ds.n_samples, dtype=np.int8)
     for cls in sorted(set(ds.labels.tolist())):
@@ -223,7 +188,7 @@ def split_dataset(ds: Dataset, seed: int) -> SplitAssignment:
         tags[order[:n_train]] = TRAIN
         tags[order[n_train:n_train + n_val]] = VAL
         tags[order[n_train + n_val:]] = TEST
-    return SplitAssignment(tags=tags, seed=int(seed))
+    return tags
 
 
 @dataclass
@@ -337,13 +302,7 @@ def hold_out_novel(ds: Dataset, novel_classes) -> HoldOut:
     kept = sorted(present - novel)
     class_map = {old: new for new, old in enumerate(kept)}
     trained_mask = ~np.isin(ds.labels, sorted(novel))
-
-    def take(mask):
-        if ds.is_raw:
-            return [s for s, keep in zip(ds.samples, mask) if keep]
-        return ds.samples[mask]
-
     trained_labels = np.array([class_map[l] for l in ds.labels[trained_mask]])
-    trained = Dataset(take(trained_mask), trained_labels)
-    novel_ds = Dataset(take(~trained_mask), ds.labels[~trained_mask])
+    trained = Dataset(ds.features[trained_mask], trained_labels)
+    novel_ds = Dataset(ds.features[~trained_mask], ds.labels[~trained_mask])
     return HoldOut(trained=trained, novel=novel_ds, class_map=class_map)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import data as D
 from .blas import single_thread
-from .data import Dataset, HoldOut, SplitAssignment, Standardizer
+from .data import Dataset, Standardizer
 from .errors import SpecError
 from .evaluate import (
     OTHERS,
@@ -50,56 +50,46 @@ class PreparedData:
     y_test: np.ndarray
     x_novel: np.ndarray
     standardizer: Standardizer
-    hold_out: HoldOut
-    split: SplitAssignment
+    class_map: dict[int, int]  # original label -> dense trained label
     raw_features: np.ndarray   # trained view, original feature units
-    raw_novel: np.ndarray
+    raw_labels: np.ndarray     # its dense labels
     n_features: int
     n_classes: int
-    seed: int
 
 
 def prepare_data(ds: Dataset, novel_classes, seed: int) -> PreparedData:
-    """Hold out novel classes, split, extract features, standardize.
+    """Hold out novel classes, split, standardize.
 
     The standardizer is fitted on the training rows of trained classes
     only; novel samples are all reserved for evaluation.
     """
     hold = D.hold_out_novel(ds, novel_classes)
-    trained = D.extract_features_dataset(hold.trained)
-    novel = D.extract_features_dataset(hold.novel)
-    split = D.split_dataset(trained, seed)
-    features = trained.features()
-    labels = trained.labels
+    features, labels = hold.trained.features, hold.trained.labels
+    tags = D.split_dataset(hold.trained, seed)
+    standardizer = D.fit_standardizer(features[tags == D.TRAIN])
 
-    train_mask = split.mask(D.TRAIN)
-    standardizer = D.fit_standardizer(features[train_mask])
+    def view(tag):
+        return standardizer.transform(features[tags == tag]), labels[tags == tag]
 
-    def view(mask):
-        return standardizer.transform(features[mask]), labels[mask]
-
-    x_train, y_train = view(train_mask)
-    x_val, y_val = view(split.mask(D.VAL))
-    x_test, y_test = view(split.mask(D.TEST))
+    x_train, y_train = view(D.TRAIN)
+    x_val, y_val = view(D.VAL)
+    x_test, y_test = view(D.TEST)
     return PreparedData(
         x_train=x_train, y_train=y_train,
         x_val=x_val, y_val=y_val,
         x_test=x_test, y_test=y_test,
-        x_novel=standardizer.transform(novel.features()),
+        x_novel=standardizer.transform(hold.novel.features),
         standardizer=standardizer,
-        hold_out=hold,
-        split=split,
+        class_map=hold.class_map,
         raw_features=features,
-        raw_novel=novel.features(),
+        raw_labels=labels,
         n_features=features.shape[1],
         n_classes=int(labels.max()) + 1,
-        seed=int(seed),
     )
 
 
 @dataclass
 class TrainedModel:
-    variant: str
     network: Network            # the classifier under evaluation
     bundle: GanBundle | None    # present for the GAN variants
     history: list               # epoch loss records
@@ -127,21 +117,21 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
         net, history = train_baseline(
             prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes, cfg
         )
-        return TrainedModel(variant, net, None, history)
+        return TrainedModel(net, None, history)
 
     if variant == "test_1a":
         cfg = replace(baseline_config, stochastic=True)
         net, history = train_baseline(
             prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes, cfg
         )
-        return TrainedModel(variant, net, None, history)
+        return TrainedModel(net, None, history)
 
     if bundle is None:
         bundle = train_gan(
             prep.x_train, prep.y_train, prep.n_classes, gan_config, checkpoint_dir
         )
     if variant == "test_2":
-        return TrainedModel(variant, bundle.discriminator, bundle, bundle.loss_history)
+        return TrainedModel(bundle.discriminator, bundle, bundle.loss_history)
 
     # test_3: offline augmentation, then supervised retraining with
     # stochastic targets in the GAN's peak range
@@ -159,7 +149,7 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
         x_train, y_train, prep.x_val, prep.y_val,
         prep.n_classes, cfg, initial=clone_network(bundle.discriminator),
     )
-    return TrainedModel(variant, net, bundle, history)
+    return TrainedModel(net, bundle, history)
 
 
 @dataclass
@@ -202,12 +192,11 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
     with. Random samples are drawn from per-class Gaussian fits of the
     real data.
     """
-    labels = prep.hold_out.trained.labels
     real_by_class = {
-        cls: prep.raw_features[labels == cls]
+        cls: prep.raw_features[prep.raw_labels == cls]
         for cls in range(prep.n_classes)
     }
-    stats = class_feature_stats(prep.raw_features, labels)
+    stats = class_feature_stats(prep.raw_features, prep.raw_labels)
 
     rng = substream(seed, "distance")
     if standardizer is None:

@@ -9,15 +9,14 @@ whose peak value is drawn fresh from a uniform range.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .blas import single_thread as _single_thread_blas
 from .data import one_hot_batch, stochastic_target_batch
-from .errors import NumericError, ShapeError, SpecError
+from .errors import NumericError, ShapeError, SpecError, check_field_types
 from .nn import (
     AdamState,
     INFER,
@@ -47,22 +46,6 @@ DISCRIMINATOR_NOISE_STDDEV = 0.4
 DISCRIMINATOR_DROPOUT = 0.3
 
 
-def _check_field_types(config) -> None:
-    """Raise SpecError unless each field of the config dataclass holds its
-    annotated type: an int (not a bool), a finite int or float, or a bool.
-    A manifest can carry any JSON value into these fields."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "bool":
-            ok = type(value) is bool
-        elif f.type == "int":
-            ok = type(value) is int
-        else:
-            ok = type(value) in (int, float) and math.isfinite(value)
-        if not ok:
-            raise SpecError(f"{type(config).__name__}.{f.name} must be {f.type}, got {value!r}")
-
-
 @dataclass
 class GanConfig:
     """Hyperparameters of one adversarial training run.
@@ -90,7 +73,7 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         if self.batch_size < 2 or self.batch_size % 2:
             raise SpecError("batch_size must be even (half real, half generated)")
         if min(self.epochs, self.latent_size) < 1:
@@ -135,7 +118,7 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         if self.learning_rate <= 0:
             raise SpecError("learning rate must be positive")
         if min(self.max_epochs, self.batch_size, self.patience) < 1:

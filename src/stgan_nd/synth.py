@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import SpecError
+from .errors import SpecError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_classes < 2:
             raise SpecError("need at least 2 classes")
         if self.samples_per_class < 1:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -65,6 +66,25 @@ def test_train_baseline_outputs_and_manifest_replay(tmp_path):
     replay = tmp_path / "replay"
     assert run_cli("train", "--manifest", out / "manifest.json", "--out", replay) == 0
     assert (replay / "losses.csv").read_bytes() == first
+
+
+def test_batch_size_reaches_supervised_training(tmp_path, monkeypatch):
+    import stgan_nd.experiments as experiments
+
+    sizes = []
+    real = experiments.train_baseline
+
+    def recorded(*args, **kwargs):
+        sizes.append(args[5].batch_size)  # (x, y, x_val, y_val, n_classes, config)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_baseline", recorded)
+    out = tmp_path / "run"
+    assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", *FAST,
+                   "--batch-size", "8", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["gan"]["batch_size"] == manifest["baseline"]["batch_size"] == 8
+    assert sizes == [8]
 
 
 def test_train_gan_variant_writes_generator_and_loss_columns(tmp_path):
@@ -292,6 +312,38 @@ def test_train_channel_out_of_range_exits_one(tmp_path, capsys):
     code, err = _error_exit(capsys, "train", "--dataset", data, "--novel-classes", "4",
                             "--channels", "99", "--out", tmp_path / "x")
     assert code == 1 and err.startswith("error: ") and "99" in err
+
+
+@pytest.mark.parametrize("channels", [["a"], [1.5, 2], 3, [True, 2]], ids=str)
+def test_train_manifest_with_bad_channels_exits_one(tmp_path, capsys, channels):
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--out", data, "--spec", "5,24,6", "--seed", "3") == 0
+    run = tmp_path / "run"
+    assert run_cli("train", "--dataset", data, "--novel-classes", "4", "--channels", "0,2",
+                   "--variant", "baseline_a", "--epochs", "1", "--out", run) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["channels"] = channels
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "channels" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--mean-scale", "nan"), ("--within-std", "inf")])
+def test_synth_with_a_non_finite_value_exits_one_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "sub" / "data.csv"
+    code, err = _error_exit(capsys, "synth", flag, value, "--out", out)
+    assert code == 1 and err.startswith("error: ") and "SynthSpec" in err
+    assert not (tmp_path / "sub").exists()
+
+
+def test_evaluate_names_its_variants_with_one_flag(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["evaluate", "--help"])
+    usage = capsys.readouterr().out
+    assert "--variants" in usage and not re.search(r"--variant\b", usage)
+    assert cli.build_parser().parse_args(["evaluate", "--out", "e"]).variants == ["test_2"]
 
 
 def test_evaluate_with_no_variant_exits_one(tmp_path, capsys):
@@ -594,13 +646,12 @@ def test_distances_inverts_with_the_models_standardizer(small_gan, tmp_path):
     _, model_standardizer = cli._load_generator(small_gan)
     # another seed splits the data otherwise, so its standardizer differs
     assert not np.array_equal(model_standardizer.mean, prep.standardizer.mean)
-    labels = prep.hold_out.trained.labels
     rng = substream(8, "distance")
     for cls, row in enumerate(rows):
         peaks = rng.uniform(GanConfig.stochastic_p_low, GanConfig.stochastic_p_high, 30)
         targets = stochastic_target_batch(np.full(30, cls), prep.n_classes, peaks)
         generated = model_standardizer.inverse(generate_samples(generator, targets, 30, rng))
-        dists = pairwise_set_distance(prep.raw_features[labels == cls], generated)
+        dists = pairwise_set_distance(prep.raw_features[prep.raw_labels == cls], generated)
         assert row[3:5] == [repr(float(dists.mean())), repr(float(dists.std()))]
 
     # with the training seed the two standardizers are one, and the table is
@@ -705,7 +756,9 @@ def test_standardizer_narrower_than_the_generator_exits_one(small_gan, tmp_path,
     ("novel_classes", [True]), ("dataset", []), ("synth", "x"), ("gan", []),
     ("gan.adam_beta1", "x"), ("gan.epochs", True), ("gan.latent_size", 2.5),
     ("gan.lr_g", None), ("baseline.adam_beta1", "x"), ("baseline.max_epochs", True),
-    ("baseline.stochastic", 0),
+    ("baseline.stochastic", 0), ("synth.n_classes", 5.0),
+    ("synth.samples_per_class", True), ("synth.within_class_std", float("nan")),
+    ("synth.cluster_mean_scale", float("inf")), ("synth", [5, 24, 6]),
 ], ids=str)
 def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, field, value):
     manifest = json.loads((small_gan / "manifest.json").read_text())

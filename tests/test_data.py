@@ -8,7 +8,6 @@ from stgan_nd.data import (
     TRAIN,
     VAL,
     extract_features,
-    extract_features_dataset,
     fit_standardizer,
     hold_out_novel,
     load_dataset,
@@ -89,25 +88,32 @@ def test_dualmyo_shaped_round_trip(tmp_path):
     values, counts = np.unique(loaded.labels, return_counts=True)
     np.testing.assert_array_equal(values, np.arange(8))
     np.testing.assert_array_equal(counts, np.full(8, 110))
-    np.testing.assert_array_equal(loaded.features(), ds.features())
+    np.testing.assert_array_equal(loaded.features, ds.features)
 
 
 def test_raw_manifest_loading(tmp_path):
     rng = np.random.default_rng(0)
-    rows = []
+    rows, samples = [], []
     for i in range(4):
-        sample = rng.standard_normal((20, 3))
+        sample = rng.standard_normal((int(rng.integers(5, 30)), 3))
         np.savetxt(tmp_path / f"s{i}.csv", sample, delimiter=",")
+        samples.append(np.loadtxt(tmp_path / f"s{i}.csv", delimiter=","))
         rows.append(f"s{i}.csv,{i % 2}")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,label\n" + "\n".join(rows) + "\n")
-    ds = load_dataset(manifest)
-    assert ds.is_raw
-    assert ds.n_samples == 4
-    np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+    for channels in (None, [0, 2], [2, 2, 1]):
+        ds = load_dataset(manifest, channels=channels)
+        selected = [s if channels is None else s[:, channels] for s in samples]
+        expected = np.stack([extract_features(s) for s in selected])
+        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.features.shape == expected.shape
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
 
-    narrowed = load_dataset(manifest, channels=[0, 2])
-    assert narrowed.samples[0].shape == (20, 2)
+    np.savetxt(tmp_path / "wide.csv", rng.standard_normal((20, 4)), delimiter=",")
+    manifest.write_text("path,label\n" + "\n".join(rows) + "\nwide.csv,0\n")
+    with pytest.raises(DataError, match="row 5 sample has 4 channels, the first has 3"):
+        load_dataset(manifest)
+    assert load_dataset(manifest, channels=[0, 1]).n_features == 2
 
     manifest.write_text("path,label\nmissing.csv,0\n")
     with pytest.raises(DataError, match="missing"):
@@ -126,18 +132,17 @@ def _toy_dataset(per_class, n_classes=3, width=4, seed=0):
 
 def test_split_110_gives_66_22_22():
     ds = _toy_dataset(110)
-    split = split_dataset(ds, seed=1)
+    tags = split_dataset(ds, seed=1)
     for cls in range(3):
-        tags = split.tags[ds.labels == cls]
-        assert (tags == TRAIN).sum() == 66
-        assert (tags == VAL).sum() == 22
-        assert (tags == TEST).sum() == 22
+        tags_of_class = tags[ds.labels == cls]
+        assert (tags_of_class == TRAIN).sum() == 66
+        assert (tags_of_class == VAL).sum() == 22
+        assert (tags_of_class == TEST).sum() == 22
 
 
 def test_split_100_gives_60_20_20():
     ds = _toy_dataset(100)
-    split = split_dataset(ds, seed=9)
-    tags = split.tags[ds.labels == 0]
+    tags = split_dataset(ds, seed=9)[ds.labels == 0]
     assert [(tags == t).sum() for t in (TRAIN, VAL, TEST)] == [60, 20, 20]
 
 
@@ -146,15 +151,14 @@ def test_split_is_deterministic_and_seed_sensitive():
     a = split_dataset(ds, seed=4)
     b = split_dataset(ds, seed=4)
     c = split_dataset(ds, seed=5)
-    np.testing.assert_array_equal(a.tags, b.tags)
-    assert not np.array_equal(a.tags, c.tags)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_split_proportions_within_one_sample():
     for per_class in (5, 7, 11, 13, 23, 110):
         ds = _toy_dataset(per_class, n_classes=2, seed=per_class)
-        split = split_dataset(ds, seed=2)
-        tags = split.tags[ds.labels == 0]
+        tags = split_dataset(ds, seed=2)[ds.labels == 0]
         assert abs((tags == TRAIN).sum() - 0.6 * per_class) <= 1.0
         assert abs((tags == VAL).sum() - 0.2 * per_class) <= 1.0
         assert abs((tags == TEST).sum() - 0.2 * per_class) <= 1.0
@@ -192,14 +196,6 @@ def test_extract_features_matches_two_pass_oracle():
 def test_extract_features_requires_two_steps():
     with pytest.raises(DataError):
         extract_features(np.ones((1, 3)))
-
-
-def test_extract_features_dataset_maps_raw():
-    samples = [np.random.default_rng(i).standard_normal((30, 5)) for i in range(3)]
-    ds = Dataset(samples, np.array([0, 1, 0]))
-    out = extract_features_dataset(ds)
-    assert not out.is_raw
-    assert out.features().shape == (3, 5)
 
 
 # ---------------------------------------------------------------- scaling

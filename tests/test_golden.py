@@ -4,7 +4,9 @@ The matrix: ``synth --spec 5,30,6``, ``evaluate`` of all four variants at
 3 epochs with ``--jobs 1`` and with ``--jobs 2``, ``distances`` with the
 ``test_2`` model, and two ``generate`` commands; then one ``distances``
 and one ``generate`` whose inference runs in several row blocks
-(``INFER_BLOCK_ROWS``). Every output file but the manifests is hashed:
+(``INFER_BLOCK_ROWS``); then ``train`` of ``baseline_a`` on a raw-sample
+manifest, whose recordings vary in length, with a subset of channels.
+Every output file but the manifests is hashed:
 checkpoints by their arrays' float64 bits and the rest of their document,
 every other file by its bytes. A change to the outputs that is meant
 updates ``golden_digests.json`` by running this file:
@@ -47,6 +49,26 @@ def _run_matrix(root: Path) -> None:
          "--n-generated", "1100", "--out", root / "dist_blocks")
     _run("generate", "--model", root / "ev1" / "test_2", "--class", "1", "-n", "1300",
          "--seed", "6", "--out", root / "class1_blocks.csv")
+    _run("train", "--dataset", _write_raw_manifest(root / "raw"), "--channels", "0,2,3",
+         "--novel-classes", "1", "--seed", "7", "--variant", "baseline_a", "--epochs", "2",
+         "--out", root / "raw_run")
+
+
+def _write_raw_manifest(folder: Path) -> Path:
+    """Six recordings per class of three classes, each t rows of 5 channels
+    with t between 5 and 29, written with ``repr``; returns the manifest."""
+    rng = np.random.default_rng(11)
+    folder.mkdir()
+    rows = []
+    for i in range(18):
+        label = i % 3
+        sample = (label + 1.0) * rng.standard_normal((int(rng.integers(5, 30)), 5))
+        (folder / f"s{i}.csv").write_text(
+            "".join(",".join(map(repr, row)) + "\n" for row in sample.tolist()))
+        rows.append(f"s{i}.csv,{label}\n")
+    manifest = folder / "manifest.csv"
+    manifest.write_text("path,label\n" + "".join(rows))
+    return manifest
 
 
 def _arrays_as_bits(node):

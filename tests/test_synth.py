@@ -25,14 +25,14 @@ def test_same_seed_is_identical_different_seed_is_not():
     a = make_synthetic_dataset(SynthSpec(seed=4))
     b = make_synthetic_dataset(SynthSpec(seed=4))
     c = make_synthetic_dataset(SynthSpec(seed=6))
-    np.testing.assert_array_equal(a.features(), b.features())
-    assert not np.array_equal(a.features(), c.features())
+    np.testing.assert_array_equal(a.features, b.features)
+    assert not np.array_equal(a.features, c.features)
 
 
 def test_features_are_finite_and_non_negative():
     ds = make_synthetic_dataset(SynthSpec(seed=2))
-    assert np.all(np.isfinite(ds.features()))
-    assert ds.features().min() >= 0.0
+    assert np.all(np.isfinite(ds.features))
+    assert ds.features.min() >= 0.0
 
 
 def test_spec_validation():
