@@ -7,9 +7,9 @@ from stgan_nd.data import (
     TRAIN,
     fit_standardizer,
     hold_out_novel,
-    one_hot,
+    one_hot_batch,
     split_dataset,
-    stochastic_target,
+    stochastic_target_batch,
 )
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
@@ -38,7 +38,7 @@ print(f"train after transform: mean {np.abs(z.mean(axis=0)).max():.2e}, "
       f"std deviation from 1: {np.abs(z.std(axis=0) - 1).max():.2e}")
 
 print("\n== target encodings ==")
-print("one_hot(3, 8)            :", one_hot(3, 8))
-print("stochastic_target(3,8,.9):", np.round(stochastic_target(3, 8, 0.9), 4))
+print("one-hot, class 3 of 8      :", one_hot_batch([3], 8)[0])
+print("stochastic, class 3, p' .9:", np.round(stochastic_target_batch([3], 8, [0.9])[0], 4))
 print("the stochastic vector keeps the argmax but caps the peak below 1,")
 print("which keeps trained-class prediction scores away from saturation")

@@ -44,6 +44,11 @@ GAN_VARIANTS = ("test_2", "test_3")
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are spelled in full: a prefix such as --variant would otherwise
+    # stand for --variants; subparsers are made by this class too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad usage; the contract reserves 2
     # for numeric divergence, so route usage errors through exit code 1
     def error(self, message):
@@ -96,7 +101,7 @@ class RunConfig:
         if missing:
             raise DataError(f"manifest lacks {', '.join(missing)}")
         values = {k: payload[k] for k in names}
-        gan = values["gan"]
+        gan, baseline = values["gan"], values["baseline"]
         # manifests of earlier versions record real_targets_stochastic, an
         # option whose one remaining setting is true
         if isinstance(gan, dict) and "real_targets_stochastic" in gan:
@@ -104,9 +109,14 @@ class RunConfig:
                 raise DataError("manifest trains with one-hot real targets "
                                 "(real_targets_stochastic false), which is not supported")
             gan = {k: v for k, v in gan.items() if k != "real_targets_stochastic"}
+        # ... and baseline.stochastic, which every variant overrode: the
+        # variant alone decides the targets, so the run is the same whatever
+        # its value
+        if isinstance(baseline, dict):
+            baseline = {k: v for k, v in baseline.items() if k != "stochastic"}
         try:
             values["gan"] = GanConfig(**gan)
-            values["baseline"] = BaselineConfig(**values["baseline"])
+            values["baseline"] = BaselineConfig(**baseline)
             if values["synth"] is not None:
                 values["synth"] = SynthSpec(**values["synth"])
         except TypeError as exc:
@@ -123,8 +133,13 @@ def _read_json(path: Path, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _write_manifest(config: RunConfig, out: Path) -> None:
-    payload = {**asdict(config), ENVIRONMENT: blas.environment()}
+def _write_manifest(config: RunConfig, out: Path, variants: list[str] | None = None) -> None:
+    """``config`` and the run environment. An evaluate run gives the
+    ``variants`` it evaluated, which are written in place of ``variant``."""
+    items = asdict(config).items()
+    if variants is not None:
+        items = [("variants", variants) if k == "variant" else (k, v) for k, v in items]
+    payload = {**dict(items), ENVIRONMENT: blas.environment()}
     (out / "manifest.json").write_text(json.dumps(payload, indent=1))
 
 
@@ -362,9 +377,9 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
         else:
             _copy_gan_files(model.bundle, gan_dir, out)
         if config.variant == "test_3":
-            _write_supervised_losses(model.history, out / "retrain_losses.csv")
+            write_loss_csv(model.history, out / "retrain_losses.csv")
     else:
-        _write_supervised_losses(model.history, out / "losses.csv")
+        write_loss_csv(model.history, out / "losses.csv")
     save_checkpoint(out / "discriminator.json", model.network, rng_seed=config.seed)
     print(f"{config.variant}: trained, outputs in {out}")
     return model
@@ -386,14 +401,6 @@ def _copy_gan_files(bundle: GanBundle, source: Path, out: Path) -> None:
     (out / "checkpoints").mkdir(exist_ok=True)
     for path in bundle.checkpoints:
         shutil.copyfile(path, out / "checkpoints" / path.name)
-
-
-def _write_supervised_losses(history, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, train_loss, val_loss in history:
-            writer.writerow([epoch, repr(train_loss), repr(val_loss)])
 
 
 def cmd_synth(args) -> int:
@@ -465,7 +472,7 @@ def _evaluate_one(payload) -> list[dict]:
         results.append({
             "variant": variant,
             "auc": evaluation.auc,
-            "rows": [r.to_dict() for r in evaluation.rows],
+            "rows": [asdict(r) for r in evaluation.rows],
             "targets": evaluation.targets,
         })
     return results
@@ -502,7 +509,7 @@ def cmd_evaluate(args) -> int:
 
     _write_accuracy_csv(results, config.target_gca, out / "accuracy.csv")
     (out / "report.json").write_text(json.dumps(results, indent=1))
-    _write_manifest(config, out)
+    _write_manifest(config, out, args.variants)
     for result in results:
         print(f"{result['variant']}: AUC={result['auc']:.3f}")
     print(f"evaluation written to {out}")

@@ -139,7 +139,11 @@ def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
             if not sample_path.exists():
                 raise DataError(f"{path}: row {i} points at missing file {cells[0]}")
             sample = _read_numeric_csv(sample_path, skip_header=False)
-            vector = extract_features(_select_channels(sample, channels, sample_path))
+            sample = _select_channels(sample, channels, sample_path)
+            try:
+                vector = extract_features(sample)
+            except DataError as exc:
+                raise DataError(f"{path}: row {i} ({cells[0]}): {exc}") from None
             if features and vector.size != features[0].size:
                 raise DataError(f"{path}: row {i} sample has {vector.size} channels, "
                                 f"the first has {features[0].size}")
@@ -231,15 +235,6 @@ def fit_standardizer(train_features: np.ndarray) -> Standardizer:
     return Standardizer(mean=mean, std=std)
 
 
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    label = int(label)
-    if not 0 <= label < n_classes:
-        raise SpecError(f"class index {label} outside [0, {n_classes})")
-    vec = np.zeros(n_classes)
-    vec[label] = 1.0
-    return vec
-
-
 def one_hot_batch(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -249,13 +244,9 @@ def one_hot_batch(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def stochastic_target(label: int, n_classes: int, p_prime: float) -> np.ndarray:
-    """Target with value p' at the true class, the rest spread uniformly."""
-    return stochastic_target_batch([label], n_classes, [p_prime])[0]
-
-
 def stochastic_target_batch(labels, n_classes: int, p_primes) -> np.ndarray:
-    """One stochastic target per label, with its own peak p'.
+    """One stochastic target per label, with its own peak p' at the true
+    class and the rest spread uniformly over the other classes.
 
     p' must lie in (1/n_classes, 1] and exceed the off-peak value it
     leaves, so that the encoded class stays the strict argmax (a p' within

@@ -31,15 +31,13 @@ class NumericError(StganError, ArithmeticError):
 
 def check_field_types(config) -> None:
     """Raise SpecError unless each field of the config dataclass holds its
-    annotated type: an int (not a bool), a finite int or float, or a bool.
+    annotated type: an int (not a bool), or a finite int or float.
     The annotations are read as strings, so the config's module must use
     ``from __future__ import annotations``. A manifest or a command-line
     flag can carry any value into these fields."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "bool":
-            ok = type(value) is bool
-        elif f.type == "int":
+        if f.type == "int":
             ok = type(value) is int
         else:
             ok = type(value) in (int, float) and math.isfinite(value)

@@ -189,17 +189,6 @@ class EvalReport:
     counts: ConfusionCounts
     auc: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "gca": self.gca,
-            "nda": self.nda,
-            "mean_balanced": self.mean_balanced,
-            "mean_weighted": self.mean_weighted,
-            "tau": self.tau,
-            "counts": vars(self.counts).copy(),
-            "auc": self.auc,
-        }
-
 
 def _confusion_counts(decisions: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """The ``ConfusionCounts`` fields, in order, counted along the last

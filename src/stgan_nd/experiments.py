@@ -92,7 +92,7 @@ def prepare_data(ds: Dataset, novel_classes, seed: int) -> PreparedData:
 class TrainedModel:
     network: Network            # the classifier under evaluation
     bundle: GanBundle | None    # present for the GAN variants
-    history: list               # epoch loss records
+    history: list               # EpochLosses or SupervisedEpoch records
 
 
 def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
@@ -112,17 +112,10 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
     if variant not in VARIANTS:
         raise SpecError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
-    if variant == "baseline_a":
-        cfg = replace(baseline_config, stochastic=False)
+    if variant in ("baseline_a", "test_1a"):
         net, history = train_baseline(
-            prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes, cfg
-        )
-        return TrainedModel(net, None, history)
-
-    if variant == "test_1a":
-        cfg = replace(baseline_config, stochastic=True)
-        net, history = train_baseline(
-            prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes, cfg
+            prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes,
+            baseline_config, stochastic=variant == "test_1a",
         )
         return TrainedModel(net, None, history)
 
@@ -139,15 +132,11 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
     x_train, y_train = augment_offline(
         (prep.x_train, prep.y_train), bundle.generator, 0.5, gan_config, augment_rng,
     )
-    cfg = replace(
-        baseline_config,
-        stochastic=True,
-        p_low=gan_config.stochastic_p_low,
-        p_high=gan_config.stochastic_p_high,
-    )
+    cfg = replace(baseline_config, p_low=gan_config.stochastic_p_low,
+                  p_high=gan_config.stochastic_p_high)
     net, history = train_baseline(
-        x_train, y_train, prep.x_val, prep.y_val,
-        prep.n_classes, cfg, initial=clone_network(bundle.discriminator),
+        x_train, y_train, prep.x_val, prep.y_val, prep.n_classes, cfg,
+        stochastic=True, initial=clone_network(bundle.discriminator),
     )
     return TrainedModel(net, bundle, history)
 

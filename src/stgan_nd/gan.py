@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +28,13 @@ from .nn import (
     batch_norm,
     binary_cross_entropy,
     categorical_cross_entropy,
-    clone_parameters,
+    clone_network,
     composite_loss,
     dense,
     dropout,
     gaussian_noise,
     init_network,
     relu,
-    restore_parameters,
     save_checkpoint,
 )
 from .rng import substream
@@ -110,7 +110,6 @@ class BaselineConfig:
     max_epochs: int = 300
     batch_size: int = 32
     patience: int = 12
-    stochastic: bool = False
     p_low: float = 0.8
     p_high: float = 1.0
     adam_beta1: float = 0.9
@@ -127,12 +126,21 @@ class BaselineConfig:
             raise SpecError("need 0 < p_low <= p_high <= 1")
 
 
-@dataclass
-class EpochLosses:
+class EpochLosses(NamedTuple):
+    """Mean losses of one adversarial epoch."""
+
     epoch: int
     d_loss: float
     g_validity: float
     g_class: float
+
+
+class SupervisedEpoch(NamedTuple):
+    """Mean training loss and validation loss of one supervised epoch."""
+
+    epoch: int
+    train_loss: float
+    val_loss: float
 
 
 @dataclass
@@ -188,13 +196,14 @@ def _discriminator_n_classes(disc: Network) -> int:
 
 
 def _sample_generator_batch(generator, n, n_classes, config, noise_rng, layer_rng):
-    """Draw (z, stochastic targets), run the generator in train mode."""
+    """Draw (z, stochastic targets), run the generator in train mode:
+    the generated rows, their targets and the forward cache."""
     z = sample_noise(n, generator.spec.input_widths[0], noise_rng)
     classes = sample_class_indices(n, n_classes, noise_rng)
     p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
     targets = stochastic_target_batch(classes, n_classes, p)
     (fake,), cache = generator.forward([z, targets], TRAIN, rng=layer_rng)
-    return fake, targets, classes, cache
+    return fake, targets, cache
 
 
 def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
@@ -215,7 +224,7 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
     disc = bundle.discriminator
     n_classes = _discriminator_n_classes(disc)
 
-    fake_x, fake_targets, _, _ = _sample_generator_batch(
+    fake_x, fake_targets, _ = _sample_generator_batch(
         bundle.generator, n, n_classes, config, noise_rng, layer_rng
     )
     p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
@@ -251,7 +260,7 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     n_classes = _discriminator_n_classes(disc)
     n = config.batch_size
 
-    fake_x, targets, _, gen_cache = _sample_generator_batch(
+    fake_x, targets, gen_cache = _sample_generator_batch(
         bundle.generator, n, n_classes, config, noise_rng, layer_rng
     )
     (validity, class_probs), disc_cache = disc.forward(
@@ -391,24 +400,26 @@ def augment_offline(train, generator: Network, fraction: float, config: GanConfi
     n_new = int(round(fraction * len(labels)))
     if n_new == 0:
         return features.copy(), labels.copy()
-    latent_size, n_classes = generator.spec.input_widths
+    n_classes = generator.spec.input_widths[1]
     classes = sample_class_indices(n_new, n_classes, rng)
     p = rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n_new)
     targets = stochastic_target_batch(classes, n_classes, p)
-    z = sample_noise(n_new, latent_size, rng)
-    (fake,), _ = generator.forward([z, targets], INFER)
+    fake = generate_samples(generator, targets, n_new, rng)
     return np.concatenate([features, fake]), np.concatenate([labels, classes])
 
 
-def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
-                   config: BaselineConfig, initial: Network | None = None) -> tuple[Network, list]:
+def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: BaselineConfig, *,
+                   stochastic: bool = False, initial: Network | None = None
+                   ) -> tuple[Network, list[SupervisedEpoch]]:
     """Supervised training of the discriminator-shaped network.
 
-    Only the class head carries loss (validity weight zero). Stops when the
-    validation loss has not improved for ``patience`` consecutive epochs
-    and restores the best-validation parameters. ``initial`` continues from
-    an existing network (offline-augmentation retraining) instead of a
-    fresh init.
+    Only the class head carries loss (validity weight zero). Training
+    targets are one-hot, or with ``stochastic`` stochastic vectors whose
+    peaks are drawn from the config's p range. Stops when the validation
+    loss has not improved for ``patience`` consecutive epochs and returns
+    a copy of the network at its best validation epoch. ``initial``
+    continues from an existing network (offline-augmentation retraining),
+    which it trains in place, instead of a fresh init.
     """
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=int)
@@ -416,7 +427,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
     y_val = np.asarray(y_val, dtype=int)
     if x_val.shape[0] == 0:
         raise SpecError("validation split is empty")
-    if config.stochastic and config.p_low <= 1.0 / n_classes:
+    if stochastic and config.p_low <= 1.0 / n_classes:
         raise SpecError(f"p_low {config.p_low} must exceed 1/{n_classes}")
 
     if initial is None:
@@ -436,7 +447,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
     shuffle_rng = substream(config.seed, "shuffle")
 
     # targets are fixed before training; stochastic peaks are drawn once
-    if config.stochastic:
+    if stochastic:
         p = noise_rng.uniform(config.p_low, config.p_high, y_train.size)
         train_targets = stochastic_target_batch(y_train, n_classes, p)
     else:
@@ -445,7 +456,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
 
     n = x_train.shape[0]
     best_val = np.inf
-    best_params = clone_parameters(net)
+    best = clone_network(net)
     wait = 0
     history = []
     with _single_thread_blas():
@@ -462,27 +473,25 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int,
                 epoch_loss += loss.scalar * idx.size
             (_, val_probs), _ = net.forward([x_val], INFER)
             val_loss = categorical_cross_entropy(val_probs, val_targets).scalar
-            history.append((epoch, epoch_loss / n, val_loss))
+            history.append(SupervisedEpoch(epoch, epoch_loss / n, val_loss))
             if not np.isfinite(val_loss):
                 raise NumericError(f"validation loss diverged at epoch {epoch}")
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = clone_parameters(net)
+                best = clone_network(net)
                 wait = 0
             else:
                 wait += 1
                 if wait >= config.patience:
                     break
-    restore_parameters(net, best_params)
-    return net, history
+    return best, history
 
 
-def write_loss_csv(history: list[EpochLosses], path) -> None:
+def write_loss_csv(history: list[EpochLosses] | list[SupervisedEpoch], path) -> None:
+    """One row per epoch record under a header of its field names: the
+    epoch, then the ``repr`` of each loss."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["epoch", "d_loss", "g_validity", "g_class"])
-        for record in history:
-            writer.writerow(
-                [record.epoch, repr(record.d_loss),
-                 repr(record.g_validity), repr(record.g_class)]
-            )
+        writer.writerow(type(history[0])._fields)
+        for epoch, *losses in history:
+            writer.writerow([epoch, *map(repr, losses)])

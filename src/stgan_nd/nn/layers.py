@@ -1,7 +1,9 @@
 """Layer implementations with hand-derived backward passes.
 
-Forward returns ``(output, cache)``; backward consumes the cache and the
-upstream gradient and returns ``(input_gradient, parameter_gradients)``.
+``forward`` is the training pass: it returns ``(output, cache)``, and
+backward consumes the cache and the upstream gradient and returns
+``(input_gradient, parameter_gradients)``. ``infer`` is the inference
+pass: it returns the output alone.
 Parameter gradients follow the order of ``parameters()``. Backward writes
 them into ``out`` (arrays shaped like the parameters) when it is given;
 ``input_only=True`` skips them and returns an empty list.
@@ -13,9 +15,6 @@ import numpy as np
 
 from ..errors import ShapeError, SpecError, StateError
 from .specs import LayerSpec
-
-TRAIN = "train"
-INFER = "infer"
 
 
 def glorot_uniform(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -32,16 +31,16 @@ class Layer:
     def parameters(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         raise NotImplementedError
 
     def backward(self, cache, grad, out=None, input_only=False):
         raise NotImplementedError
 
     def infer(self, x, in_place=False):
-        """The INFER-mode output of ``x``. With ``in_place`` the layer may
+        """The inference output of ``x``. With ``in_place`` the layer may
         write it into ``x``, which the caller allocated and no longer needs."""
-        return self.forward(x, INFER)[0]
+        return self.forward(x)[0]
 
     def _check_width(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.in_width:
@@ -66,7 +65,7 @@ class Dense(Layer):
         self.weight = glorot_uniform(in_width, out_width, rng)
         self.bias = np.zeros(out_width)
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
         out = x @ self.weight
         out += self.bias
@@ -93,7 +92,7 @@ class _Elementwise(Layer):
 class ReLU(_Elementwise):
     kind = "relu"
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
         mask = x > 0.0
         return x * mask, mask
@@ -109,7 +108,7 @@ class ReLU(_Elementwise):
 class Sigmoid(_Elementwise):
     kind = "sigmoid"
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
         out = np.empty_like(x, dtype=float)
         pos = x >= 0
@@ -126,7 +125,7 @@ class Sigmoid(_Elementwise):
 class Softmax(_Elementwise):
     kind = "softmax"
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -142,7 +141,7 @@ class Softmax(_Elementwise):
 class Linear(_Elementwise):
     kind = "linear"
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
         return x, None
 
@@ -157,13 +156,16 @@ class GaussianNoise(_Elementwise):
         super().__init__(width)
         self.stddev = stddev
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
-        if mode == INFER or self.stddev == 0.0:
+        if self.stddev == 0.0:
             return x, None
         rng = self._require_rng(rng)
         # additive noise: gradient w.r.t. the input is the identity
         return x + self.stddev * rng.standard_normal(x.shape), None
+
+    def infer(self, x, in_place=False):
+        return x
 
     def backward(self, cache, grad, out=None, input_only=False):
         return grad, []
@@ -176,15 +178,18 @@ class Dropout(_Elementwise):
         super().__init__(width)
         self.rate = rate
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
-        if mode == INFER or self.rate == 0.0:
+        if self.rate == 0.0:
             return x, None
         rng = self._require_rng(rng)
         keep = 1.0 - self.rate
         # inverted scaling: inference needs no rescaling
         mask = (rng.random(x.shape) >= self.rate) / keep
         return x * mask, mask
+
+    def infer(self, x, in_place=False):
+        return x
 
     def backward(self, cache, grad, out=None, input_only=False):
         if cache is None:
@@ -195,7 +200,7 @@ class Dropout(_Elementwise):
 class BatchNorm(_Elementwise):
     """Per-feature batch normalization with learned scale and shift.
 
-    Running statistics (momentum 0.99) are used in infer mode; train mode
+    ``infer`` uses the running statistics (momentum 0.99); ``forward``
     normalizes within the batch and, unless ``update_stats`` is False,
     folds the batch statistics into the running ones.
     """
@@ -212,10 +217,8 @@ class BatchNorm(_Elementwise):
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
 
-    def forward(self, x, mode, rng=None, update_stats=True):
+    def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
-        if mode == INFER:
-            return self.infer(x), None
         mean = x.mean(axis=0)
         var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + self.eps)
@@ -235,8 +238,6 @@ class BatchNorm(_Elementwise):
         return out
 
     def backward(self, cache, grad, out=None, input_only=False):
-        if cache is None:
-            raise StateError("batch_norm backward needs a train-mode cache")
         x_hat, inv_std = cache
         n = grad.shape[0]
         # the input gradient needs both sums, so input_only saves nothing here

@@ -13,8 +13,11 @@ import numpy as np
 
 from ..errors import ShapeError, SpecError, StateError
 from . import layers as L
-from .layers import INFER, TRAIN, Layer, build_layer
+from .layers import Layer, build_layer
 from .specs import NetworkSpec
+
+TRAIN = "train"
+INFER = "infer"
 
 # an INFER forward of more rows runs in equal row blocks of at most this
 # many, so its intermediate arrays stay block-sized whatever the batch
@@ -120,15 +123,15 @@ class Network:
     def forward(self, inputs, mode, rng=None, update_stats=True):
         """Run the network on a batch in ``mode`` (TRAIN or INFER).
 
-        ``inputs`` is one matrix per input head (a bare matrix is accepted
-        for single-input networks). Returns ``(head_outputs, cache)``; the
-        cache is only usable for ``backward`` when mode is train. An INFER
-        batch of more than ``INFER_BLOCK_ROWS`` rows runs in row blocks.
+        ``inputs`` is a list of one matrix per input head. Returns
+        ``(head_outputs, cache)``; the cache is only usable for
+        ``backward`` when mode is train. A TRAIN batch runs through each
+        layer's ``forward``; an INFER batch runs through each layer's
+        ``infer``, in row blocks when it has more than ``INFER_BLOCK_ROWS``
+        rows.
         """
         if mode not in (TRAIN, INFER):
             raise SpecError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
-        if isinstance(inputs, np.ndarray):
-            inputs = [inputs]
         if len(inputs) != self.n_inputs:
             raise ShapeError(
                 f"network has {self.n_inputs} input heads, got {len(inputs)} arrays"
@@ -152,14 +155,14 @@ class Network:
 
         trunk_caches = []
         for layer in self.trunk:
-            x, cache = layer.forward(x, mode, rng=rng, update_stats=update_stats)
+            x, cache = layer.forward(x, rng=rng, update_stats=update_stats)
             trunk_caches.append(cache)
 
         outputs = []
         head_caches = []
         for dense_layer, activation in self.heads:
-            z, dense_cache = dense_layer.forward(x, mode, rng=rng, update_stats=update_stats)
-            y, act_cache = activation.forward(z, mode, rng=rng, update_stats=update_stats)
+            z, dense_cache = dense_layer.forward(x, rng=rng, update_stats=update_stats)
+            y, act_cache = activation.forward(z, rng=rng, update_stats=update_stats)
             outputs.append(y)
             head_caches.append((dense_cache, act_cache))
 
@@ -209,8 +212,6 @@ class Network:
             raise StateError("cache was produced by a different network")
         if cache.mode != TRAIN:
             raise StateError("backward needs a cache from a train-mode forward")
-        if isinstance(head_loss_grads, np.ndarray):
-            head_loss_grads = [head_loss_grads]
         if len(head_loss_grads) != self.n_heads:
             raise ShapeError(
                 f"network has {self.n_heads} heads, got {len(head_loss_grads)} gradients"
@@ -284,25 +285,3 @@ def clone_network(net: Network) -> Network:
         dst.running_mean = src.running_mean.copy()
         dst.running_var = src.running_var.copy()
     return dup
-
-
-def clone_parameters(net: Network) -> list[np.ndarray]:
-    """Snapshot of all trainable arrays plus batch-norm running stats."""
-    arrays = [p.copy() for p in net.parameters()]
-    for bn in net.batch_norm_layers():
-        arrays.append(bn.running_mean.copy())
-        arrays.append(bn.running_var.copy())
-    return arrays
-
-
-def restore_parameters(net: Network, snapshot: list[np.ndarray]) -> None:
-    params = net.parameters()
-    bns = net.batch_norm_layers()
-    if len(snapshot) != len(params) + 2 * len(bns):
-        raise StateError("snapshot does not match network structure")
-    for target, stored in zip(params, snapshot):
-        target[...] = stored
-    rest = snapshot[len(params):]
-    for bn, mean, var in zip(bns, rest[0::2], rest[1::2]):
-        bn.running_mean = mean.copy()
-        bn.running_var = var.copy()

@@ -346,6 +346,38 @@ def test_evaluate_names_its_variants_with_one_flag(capsys):
     assert cli.build_parser().parse_args(["evaluate", "--out", "e"]).variants == ["test_2"]
 
 
+@pytest.mark.parametrize("args", [
+    ["evaluate", *SMALL_DATA, *FAST, "--variant", "baseline_a"],
+    ["train", *SMALL_DATA, "--variant", "baseline_a", "--epoch", "3"],
+], ids=["evaluate --variant", "train --epoch"])
+def test_a_prefix_of_a_long_flag_exits_one(tmp_path, capsys, args):
+    code, err = _error_exit(capsys, *args, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and args[-2] in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_evaluate_root_manifest_records_the_variants_it_evaluated(tmp_path, capsys):
+    out = tmp_path / "eval"
+    args = ["evaluate", *SMALL_DATA, *FAST, "--variants", "test_1a,baseline_a", "--out", out]
+    assert run_cli(*args) == 0
+    root = json.loads((out / "manifest.json").read_text())
+    assert root["variants"] == ["test_1a", "baseline_a"] and "variant" not in root
+    stamps = {}
+    for variant in ("test_1a", "baseline_a"):
+        manifest = json.loads((out / variant / "manifest.json").read_text())
+        assert manifest["variant"] == variant and "variants" not in manifest
+        stamps[variant] = (out / variant / "discriminator.json").stat().st_mtime_ns
+    # each variant's manifest still matches its configuration: a rerun reuses both models
+    assert run_cli(*args) == 0
+    for variant, stamp in stamps.items():
+        assert (out / variant / "discriminator.json").stat().st_mtime_ns == stamp
+    # the root manifest names no single variant to replay
+    code, err = _error_exit(capsys, "train", "--manifest", out / "manifest.json",
+                            "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "lacks variant" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_evaluate_with_no_variant_exits_one(tmp_path, capsys):
     code, err = _error_exit(capsys, "evaluate", *SMALL_DATA, *FAST, "--variants", ",",
                             "--out", tmp_path / "e")
@@ -524,6 +556,28 @@ def test_earlier_manifest_with_one_hot_real_targets_exits_one(tmp_path, capsys):
     code, err = _error_exit(capsys, "train", "--manifest", earlier, "--out", tmp_path / "x")
     assert code == 1 and err.startswith("error: ") and "real_targets_stochastic" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_earlier_manifest_with_baseline_stochastic_replays_to_the_same_losses(tmp_path):
+    # manifests written before the field was retired record it in "baseline";
+    # the variant alone decides the targets, whatever its value
+    losses = {}
+    for variant in ("baseline_a", "test_1a"):
+        out = tmp_path / variant
+        assert run_cli("train", *SMALL_DATA, "--variant", variant, *FAST, "--out", out) == 0
+        losses[variant] = (out / "losses.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "stochastic" not in manifest["baseline"]
+        for value in (True, False):
+            manifest["baseline"]["stochastic"] = value
+            earlier = tmp_path / "earlier.json"
+            earlier.write_text(json.dumps(manifest, indent=1))
+            replay = tmp_path / f"{variant}-{value}"
+            assert run_cli("train", "--manifest", earlier, "--out", replay) == 0
+            assert (replay / "losses.csv").read_bytes() == losses[variant]
+            assert "stochastic" not in json.loads(
+                (replay / "manifest.json").read_text())["baseline"]
+    assert losses["baseline_a"] != losses["test_1a"]
 
 
 def test_evaluate_retrains_after_a_failed_training(tmp_path, monkeypatch):
@@ -756,7 +810,7 @@ def test_standardizer_narrower_than_the_generator_exits_one(small_gan, tmp_path,
     ("novel_classes", [True]), ("dataset", []), ("synth", "x"), ("gan", []),
     ("gan.adam_beta1", "x"), ("gan.epochs", True), ("gan.latent_size", 2.5),
     ("gan.lr_g", None), ("baseline.adam_beta1", "x"), ("baseline.max_epochs", True),
-    ("baseline.stochastic", 0), ("synth.n_classes", 5.0),
+    ("synth.n_classes", 5.0),
     ("synth.samples_per_class", True), ("synth.within_class_std", float("nan")),
     ("synth.cluster_mean_scale", float("inf")), ("synth", [5, 24, 6]),
 ], ids=str)

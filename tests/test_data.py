@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +13,9 @@ from stgan_nd.data import (
     fit_standardizer,
     hold_out_novel,
     load_dataset,
-    one_hot,
     one_hot_batch,
     save_dataset,
     split_dataset,
-    stochastic_target,
     stochastic_target_batch,
 )
 from stgan_nd.errors import DataError, SpecError
@@ -56,6 +56,17 @@ def test_load_rejects_non_finite_raw_sample_cell(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,label\ns0.csv,0\ns1.csv,1\n")
     with pytest.raises(DataError, match="row 4, column 2"):
+        load_dataset(manifest)
+
+
+def test_raw_sample_with_one_time_step_names_its_file_and_manifest_row(tmp_path):
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "s0.csv", rng.standard_normal((20, 3)), delimiter=",")
+    np.savetxt(tmp_path / "s1.csv", rng.standard_normal((1, 3)), delimiter=",")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\ns0.csv,0\ns1.csv,1\n")
+    message = f"{manifest}: row 2 (s1.csv): raw sample must be a (t, d) matrix with t >= 2"
+    with pytest.raises(DataError, match=re.escape(message)):
         load_dataset(manifest)
 
 
@@ -241,18 +252,18 @@ def test_standardizer_rejects_constant_features():
 # ---------------------------------------------------------------- targets
 
 def test_one_hot_basics():
-    vec = one_hot(3, 8)
+    (vec,) = one_hot_batch([3], 8)
     assert vec[3] == 1.0
     assert vec.sum() == 1.0
     assert vec.shape == (8,)
     with pytest.raises(SpecError):
-        one_hot(8, 8)
+        one_hot_batch([8], 8)
     with pytest.raises(SpecError):
-        one_hot(-1, 8)
+        one_hot_batch([-1], 8)
 
 
 def test_stochastic_target_spreads_remainder():
-    vec = stochastic_target(3, 8, 0.9)
+    (vec,) = stochastic_target_batch([3], 8, [0.9])
     assert vec[3] == 0.9
     others = np.delete(vec, 3)
     np.testing.assert_allclose(others, 0.1 / 7.0)
@@ -260,14 +271,15 @@ def test_stochastic_target_spreads_remainder():
 
 
 def test_stochastic_target_with_p_one_is_one_hot():
-    np.testing.assert_array_equal(stochastic_target(2, 5, 1.0), one_hot(2, 5))
+    np.testing.assert_array_equal(stochastic_target_batch([2], 5, [1.0]),
+                                  one_hot_batch([2], 5))
 
 
 def test_stochastic_target_rejects_out_of_range_p():
     with pytest.raises(SpecError):
-        stochastic_target(0, 8, 1.0 / 8.0)  # argmax would not be preserved
+        stochastic_target_batch([0], 8, [1.0 / 8.0])  # argmax would not be preserved
     with pytest.raises(SpecError):
-        stochastic_target(0, 8, 1.1)
+        stochastic_target_batch([0], 8, [1.1])
     with pytest.raises(SpecError):
         stochastic_target_batch([0, 1], 8, [0.9, 0.05])
 

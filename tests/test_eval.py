@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -317,7 +319,7 @@ def test_tuned_threshold_is_a_grid_point_reported_as_compute_gca_nda(samples, ta
     tau, report = tune_threshold(probs, truths, target)
     assert tau in THRESHOLD_GRID
     at_tau = compute_gca_nda(classify_with_threshold(probs, tau), truths, tau)
-    assert report.to_dict() == at_tau.to_dict()
+    assert asdict(report) == asdict(at_tau)
     # among the grid thresholds that reach the target, none has a higher
     # NDA, nor at the same NDA a higher GCA; when none reaches it, none
     # comes closer to it

@@ -37,7 +37,7 @@ def test_layer_spec_validation():
 def test_softmax_rows_sum_to_one():
     layer = Softmax(6)
     x = np.random.default_rng(3).standard_normal((40, 6)) * 30.0
-    y, _ = layer.forward(x, INFER)
+    y = layer.infer(x)
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(y > 0)
 
@@ -45,26 +45,25 @@ def test_softmax_rows_sum_to_one():
 def test_sigmoid_open_interval_and_stability():
     layer = Sigmoid(1)
     x = np.array([[-500.0], [-5.0], [0.0], [5.0], [500.0]])
-    y, _ = layer.forward(x, INFER)
+    y = layer.infer(x)
     assert np.all(y >= 0) and np.all(y <= 1)  # no overflow at extremes
     assert y[2, 0] == 0.5
     moderate = np.linspace(-30, 30, 101)[None, :]
-    ym, _ = Sigmoid(101).forward(moderate, INFER)
+    ym = Sigmoid(101).infer(moderate)
     assert np.all(ym > 0) and np.all(ym < 1)
 
 
 def test_gaussian_noise_identity_at_infer():
     layer = GaussianNoise(4, 0.5)
     x = np.random.default_rng(0).standard_normal((8, 4))
-    y, _ = layer.forward(x, INFER)
-    np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(layer.infer(x), x)
 
 
 def test_gaussian_noise_train_statistics():
     layer = GaussianNoise(100, 0.3)
     rng = np.random.default_rng(11)
     x = np.zeros((1000, 100))
-    y, _ = layer.forward(x, TRAIN, rng=rng)
+    y, _ = layer.forward(x, rng=rng)
     noise = y - x
     assert abs(noise.mean()) < 0.01
     assert abs(noise.std() - 0.3) < 0.01
@@ -73,7 +72,7 @@ def test_gaussian_noise_train_statistics():
 def test_gaussian_noise_requires_rng_in_train():
     layer = GaussianNoise(4, 0.5)
     with pytest.raises(StateError):
-        layer.forward(np.zeros((2, 4)), TRAIN, rng=None)
+        layer.forward(np.zeros((2, 4)), rng=None)
 
 
 def test_dropout_kept_fraction_and_scaling():
@@ -81,7 +80,7 @@ def test_dropout_kept_fraction_and_scaling():
     layer = Dropout(100000, 0.3)
     rng = np.random.default_rng(5)
     x = np.ones((1, 100000))
-    y, _ = layer.forward(x, TRAIN, rng=rng)
+    y, _ = layer.forward(x, rng=rng)
     kept = y != 0.0
     assert 0.69 <= kept.mean() <= 0.71
     np.testing.assert_allclose(y[kept], 1.0 / 0.7)
@@ -89,9 +88,8 @@ def test_dropout_kept_fraction_and_scaling():
 
 def test_dropout_identity_at_infer_and_rate_zero():
     x = np.random.default_rng(1).standard_normal((5, 7))
-    y, _ = Dropout(7, 0.3).forward(x, INFER)
-    np.testing.assert_array_equal(x, y)
-    y, _ = Dropout(7, 0.0).forward(x, TRAIN, rng=np.random.default_rng(0))
+    np.testing.assert_array_equal(Dropout(7, 0.3).infer(x), x)
+    y, _ = Dropout(7, 0.0).forward(x, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(x, y)
 
 
@@ -99,7 +97,7 @@ def test_batch_norm_train_normalizes_and_tracks_stats():
     layer = BatchNorm(3)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((64, 3)) * 4.0 + 10.0
-    y, _ = layer.forward(x, TRAIN)
+    y, _ = layer.forward(x)
     assert np.allclose(y.mean(axis=0), 0.0, atol=1e-9)
     # eps in the denominator keeps batch variance slightly under 1
     assert np.allclose(y.var(axis=0), 1.0, atol=1e-3)
@@ -112,10 +110,10 @@ def test_batch_norm_update_stats_flag():
     x = np.random.default_rng(2).standard_normal((16, 3)) + 5.0
     mean_before = layer.running_mean.copy()
     var_before = layer.running_var.copy()
-    layer.forward(x, TRAIN, update_stats=False)
+    layer.forward(x, update_stats=False)
     np.testing.assert_array_equal(layer.running_mean, mean_before)
     np.testing.assert_array_equal(layer.running_var, var_before)
-    layer.forward(x, TRAIN, update_stats=True)
+    layer.forward(x, update_stats=True)
     assert not np.array_equal(layer.running_mean, mean_before)
 
 
@@ -123,9 +121,9 @@ def test_batch_norm_infer_uses_running_stats():
     layer = BatchNorm(2)
     rng = np.random.default_rng(4)
     for _ in range(200):
-        layer.forward(rng.standard_normal((32, 2)) * 2.0 + 3.0, TRAIN)
+        layer.forward(rng.standard_normal((32, 2)) * 2.0 + 3.0)
     x = rng.standard_normal((10, 2)) * 2.0 + 3.0
-    y, _ = layer.forward(x, INFER)
+    y = layer.infer(x)
     expected = (x - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
     np.testing.assert_allclose(y, expected)
 

@@ -219,7 +219,7 @@ def _reference_infer(net, inputs):
             x = layer.gamma * x_hat + layer.beta
         else:
             x = x * (x > 0.0)
-    return [activation.forward(x @ dense_layer.weight + dense_layer.bias, INFER)[0]
+    return [activation.forward(x @ dense_layer.weight + dense_layer.bias)[0]
             for dense_layer, activation in net.heads]
 
 
