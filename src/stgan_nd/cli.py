@@ -17,28 +17,62 @@ import shutil
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import blas
-from .data import Standardizer, load_dataset, save_dataset
-from .errors import DataError, NumericError, ShapeError, SpecError, StateError
-from .evaluate import write_roc_csv
-from .experiments import (
+
+def _load_numpy_on_one_thread() -> None:
+    """Import numpy with its OpenBLAS started on one thread.
+
+    OpenBLAS starts one thread per core as it loads, and reads its count
+    from the environment only then; an idle thread spins, and a count
+    pinned later cannot stop it. The variable is set only while numpy
+    loads, so child processes and callers see the environment as it was.
+    Where numpy is loaded already (a library caller), its BLAS is left as
+    it is, and ``blas.single_thread`` pins each command instead.
+    """
+    if "numpy" in sys.modules:
+        return
+    previous = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if previous is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = previous
+
+
+_load_numpy_on_one_thread()
+
+# Each command imports only the modules it runs: the experiments, the
+# evaluation and its thread pool load in the commands that train, evaluate
+# or measure distances, not in synth or generate. Without a bytecode cache
+# every module imported is compiled again on every run.
+from . import blas  # noqa: E402
+from .data import Standardizer, load_dataset, save_dataset  # noqa: E402
+from .errors import DataError, NumericError, ShapeError, SpecError, StateError  # noqa: E402
+from .gan import (  # noqa: E402
     VARIANTS,
-    PreparedData,
-    TrainedModel,
-    distance_tables,
-    evaluate_model,
-    prepare_data,
-    train_variant,
+    BaselineConfig,
+    GanBundle,
+    GanConfig,
+    generate_samples,
+    write_loss_csv,
 )
-from .gan import BaselineConfig, GanBundle, GanConfig, generate_samples, write_loss_csv
-from .nn import INFER_BLOCK_ROWS, Network, load_checkpoint, save_checkpoint
-from .rng import substream
-from .synth import SynthSpec, make_synthetic_dataset
+from .nn import INFER_BLOCK_ROWS, Network, load_checkpoint, save_checkpoint  # noqa: E402
+from .rng import substream  # noqa: E402
+from .synth import SynthSpec, make_synthetic_dataset  # noqa: E402
+
+if TYPE_CHECKING:
+    from .experiments import PreparedData, TrainedModel
 
 ENV_SEED = "STGAN_ND_SEED"
 # manifest key of the run environment; replay ignores it
 ENVIRONMENT = "environment"
+# manifest key of the command that wrote it, where that is not train or
+# evaluate (whose manifests carry no such key); train replays no other
+COMMAND = "command"
 # the variants trained from one adversarial run; evaluate runs them as one job
 GAN_VARIANTS = ("test_2", "test_3")
 
@@ -133,13 +167,17 @@ def _read_json(path: Path, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _write_manifest(config: RunConfig, out: Path, variants: list[str] | None = None) -> None:
+def _write_manifest(config: RunConfig, out: Path, variants: list[str] | None = None,
+                    command: str | None = None, **inputs) -> None:
     """``config`` and the run environment. An evaluate run gives the
-    ``variants`` it evaluated, which are written in place of ``variant``."""
+    ``variants`` it evaluated, which are written in place of ``variant``.
+    Another command gives its name and the ``inputs`` it read besides
+    ``config``."""
     items = asdict(config).items()
     if variants is not None:
         items = [("variants", variants) if k == "variant" else (k, v) for k, v in items]
-    payload = {**dict(items), ENVIRONMENT: blas.environment()}
+    head = {} if command is None else {COMMAND: command}
+    payload = {**head, **dict(items), **inputs, ENVIRONMENT: blas.environment()}
     (out / "manifest.json").write_text(json.dumps(payload, indent=1))
 
 
@@ -297,6 +335,8 @@ def _run_config_from_args(args) -> RunConfig:
 
 
 def _prepare(config: RunConfig) -> PreparedData:
+    from .experiments import prepare_data
+
     if config.dataset is not None:
         ds = load_dataset(config.dataset, channels=config.channels)
     else:
@@ -358,6 +398,8 @@ def _train_run(config: RunConfig, out: Path, prep: PreparedData,
     periodic checkpoints) byte for byte instead of training and writing
     the same GAN again.
     """
+    from .experiments import train_variant
+
     out.mkdir(parents=True, exist_ok=True)
     _remove_run_files(out)
     _write_manifest(config, out)
@@ -418,7 +460,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        config = RunConfig.from_manifest(_read_json(Path(args.manifest), "manifest"))
+        payload = _read_json(Path(args.manifest), "manifest")
+        command = payload.get(COMMAND, "train") if isinstance(payload, dict) else "train"
+        if command != "train":
+            raise DataError(f"{args.manifest} is the manifest of a {command!r} run; "
+                            f"train replays the manifests of training runs only")
+        config = RunConfig.from_manifest(payload)
     else:
         config = _run_config_from_args(args)
     _train_run(config, Path(args.out), _prepare(config))
@@ -426,6 +473,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_distances(args) -> int:
+    from .experiments import distance_tables
+
     config = _run_config_from_args(args)
     prep = _prepare(config)
     generator = standardizer = None
@@ -440,7 +489,9 @@ def cmd_distances(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "distances.csv")
-    _write_manifest(config, out)
+    _write_manifest(config, out, command="distances",
+                    model=None if generator is None else str(model.resolve()),
+                    n_generated=args.n_generated)
     print(f"distance table written to {out / 'distances.csv'}")
     return 0
 
@@ -453,6 +504,9 @@ def _evaluate_one(payload) -> list[dict]:
     the job, ``test_3`` retrains from its GAN instead of training the same
     GAN again.
     """
+    from .evaluate import write_roc_csv
+    from .experiments import evaluate_model
+
     base, variants, out_root, prep = payload
     gan = None
     results = []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +123,10 @@ def distance_report(real_by_class: dict, generated_by_class: dict | None,
     CPU: numpy releases the interpreter lock in its loops, and every set
     is computed exactly as on one thread.
     """
+    # imported here: the thread pool and the logging it loads are a
+    # start-up cost of every command that computes no distance table
+    from concurrent.futures import ThreadPoolExecutor
+
     classes = sorted(real_by_class)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         jobs = {}

@@ -23,6 +23,7 @@ from .evaluate import (
     tune_threshold,
 )
 from .gan import (
+    VARIANTS,
     BaselineConfig,
     GanBundle,
     GanConfig,
@@ -34,8 +35,6 @@ from .gan import (
 from .nn import INFER, Network, clone_network
 from .rng import substream
 from .synth import class_feature_stats, gaussian_baseline_sampler
-
-VARIANTS = ("baseline_a", "test_1a", "test_2", "test_3")
 
 
 @dataclass

@@ -44,6 +44,9 @@ DISCRIMINATOR_HIDDEN = 300
 GENERATOR_NOISE_STDDEV = 0.1
 DISCRIMINATOR_NOISE_STDDEV = 0.4
 DISCRIMINATOR_DROPOUT = 0.3
+# the experiment variants, trained from these configs by
+# ``experiments.train_variant``
+VARIANTS = ("baseline_a", "test_1a", "test_2", "test_3")
 
 
 @dataclass
@@ -455,8 +458,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
     val_targets = one_hot_batch(y_val, n_classes)
 
     n = x_train.shape[0]
-    best_val = np.inf
-    best = clone_network(net)
+    best_val = np.inf  # so epoch 1 sets ``best``, or raises on a non-finite loss
     wait = 0
     history = []
     with _single_thread_blas():

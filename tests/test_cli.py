@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,66 @@ def test_distances_with_and_without_model(tmp_path, capsys):
     with open(out2 / "distances.csv") as handle:
         rows = list(csv.reader(handle))
     assert all(row[3] != "" for row in rows[1:])
+
+
+def test_distances_manifest_records_its_command_model_and_row_count(tmp_path, capsys):
+    model = tmp_path / "model"
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
+                   "--out", model) == 0
+    out = tmp_path / "dist"
+    assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--model", model,
+                   "--n-generated", "30", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest)[0] == "command" and manifest["command"] == "distances"
+    assert manifest["model"] == str(model.resolve())
+    assert manifest["n_generated"] == 30
+    # without a generator there is no GAN column, and no model behind it
+    bare = tmp_path / "bare"
+    assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--out", bare) == 0
+    manifest = json.loads((bare / "manifest.json").read_text())
+    assert manifest["model"] is None and manifest["n_generated"] is None
+
+
+def test_train_manifest_of_a_distances_run_exits_one_before_writing(tmp_path, capsys):
+    out = tmp_path / "dist"
+    assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--out", out) == 0
+    code, err = _error_exit(capsys, "train", "--manifest", out / "manifest.json",
+                            "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ") and "'distances'" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_manifest_without_a_command_replays_as_a_training_run(tmp_path, capsys):
+    out = tmp_path / "dist"
+    assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["command"]
+    manifest["gan"]["epochs"] = 3
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    assert run_cli("train", "--manifest", edited, "--out", tmp_path / "replay") == 0
+    assert run_cli("train", *SMALL_DATA, "--seed", "7", "--epochs", "3",
+                   "--out", tmp_path / "direct") == 0
+    for name in ("losses.csv", "generator.json", "discriminator.json"):
+        assert ((tmp_path / "replay" / name).read_bytes()
+                == (tmp_path / "direct" / name).read_bytes()), name
+
+
+def test_train_and_evaluate_manifests_hold_their_config_and_environment_only(tmp_path):
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *SMALL_DATA, *FAST, "--variants", "baseline_a",
+                   "--out", out) == 0
+    names = [f.name for f in fields(cli.RunConfig)]
+    for path, keys in ((out / "baseline_a" / "manifest.json", names),
+                       (out / "manifest.json",
+                        ["variants" if k == "variant" else k for k in names])):
+        text = path.read_text()
+        manifest = json.loads(text)
+        assert list(manifest) == keys + [cli.ENVIRONMENT]
+        assert text == json.dumps(manifest, indent=1)
+    replay = json.loads((out / "baseline_a" / "manifest.json").read_text())
+    config = cli.RunConfig.from_manifest(replay)
+    assert cli._same_config(out / "baseline_a" / "manifest.json", config)
 
 
 def test_validation_errors_exit_one(tmp_path):
@@ -898,12 +959,99 @@ def test_every_command_runs_on_one_blas_thread_and_restores_the_count(
     assert seen == [1, 1]
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    source = Path(cli.__file__).parents[1]
+# the variables that set a BLAS thread count, removed for a fresh interpreter
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code: str, *args, **env) -> str:
+    """stdout of ``code`` run by a new interpreter, which imports the package
+    under test, with the BLAS variables removed from its environment."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    base["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, env={**base, **env}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_CLI_MAIN = "import sys; from stgan_nd.cli import main; sys.exit(main(sys.argv[1:]))"
+_LOADED = ("multiprocessing", "concurrent.futures", "stgan_nd.experiments", "stgan_nd.evaluate")
+_MODULES_AFTER_MAIN = ("import json, sys; from stgan_nd.cli import main; main(sys.argv[1:]); "
+                       f"print(json.dumps([m in sys.modules for m in {_LOADED!r}]))")
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded(small_gan, tmp_path):
     probe = "import sys, stgan_nd.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(source)}, check=True)
-    assert done.stdout.strip() == "False"
+    assert _fresh_python(probe).strip() == "False"
+    # a command imports only what it runs: neither synth nor generate loads
+    # the experiments, the evaluation or its thread pool
+    for args in (["synth", "--spec", "3,4,2", "--out", tmp_path / "d.csv"],
+                 ["generate", "--model", small_gan, "--class", "1", "-n", "4",
+                  "--out", tmp_path / "s.csv"]):
+        loaded = json.loads(_fresh_python(_MODULES_AFTER_MAIN, *args).splitlines()[-1])
+        assert not any(loaded), dict(zip(_LOADED, loaded))
+
+
+_THREADS_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import stgan_nd.cli
+from stgan_nd.blas import openblas
+status = open("/proc/self/status").read()
+print(json.dumps({"threads": int(status.split("Threads:")[1].split()[0]),
+                  "blas": openblas().get_num_threads(),
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def _threads_after_import(order: str, **env) -> dict:
+    return json.loads(_fresh_python(_THREADS_PROBE, order, **env))
+
+
+@pytest.fixture
+def openblas_default_threads() -> int:
+    """OpenBLAS's own thread count in a fresh interpreter; skips where a
+    load-time pin could not be seen."""
+    from stgan_nd.blas import openblas
+
+    if openblas() is None:
+        pytest.skip("numpy is not using an OpenBLAS here")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc to count threads in")
+    count = json.loads(_fresh_python(
+        "import numpy; from stgan_nd.blas import openblas; print(openblas().get_num_threads())"))
+    if count < 2:
+        pytest.skip("OpenBLAS starts one thread on one CPU")
+    return count
+
+
+def test_importing_the_cli_starts_openblas_on_one_thread(openblas_default_threads):
+    seen = _threads_after_import("cli-first")
+    assert seen == {"threads": 1, "blas": 1, "variable": None}
+    # a value set by the caller is put back after numpy loads
+    seen = _threads_after_import("cli-first", OPENBLAS_NUM_THREADS="3")
+    assert seen == {"threads": 1, "blas": 1, "variable": "3"}
+
+
+def test_importing_the_cli_after_numpy_leaves_its_blas_as_it_is(openblas_default_threads):
+    seen = _threads_after_import("numpy-first")
+    assert seen["blas"] == openblas_default_threads and seen["variable"] is None
+    assert seen["threads"] == openblas_default_threads
+
+
+def test_fresh_commands_write_the_bytes_of_in_process_ones(small_gan, tmp_path):
+    # a fresh process loads OpenBLAS on one thread; the test process pins
+    # its already started OpenBLAS inside main
+    model = tmp_path / "model"
+    _fresh_python(_CLI_MAIN, "train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
+                  "--out", model)
+    for name in ("losses.csv", "generator.json", "discriminator.json", "preprocessing.json"):
+        assert (model / name).read_bytes() == (small_gan / name).read_bytes(), name
+    generate = ["generate", "--model", small_gan, "--class", "1", "-n", "3000", "--seed", "4"]
+    _fresh_python(_CLI_MAIN, *generate, "--out", tmp_path / "fresh.csv")
+    assert run_cli(*generate, "--out", tmp_path / "here.csv") == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 def test_generate_creates_the_directory_of_its_output(small_gan, tmp_path):

@@ -320,6 +320,25 @@ def test_baseline_early_stopping_and_restore():
     assert loss == min(val_losses)
 
 
+def test_baseline_snapshots_once_per_improving_epoch(monkeypatch):
+    x_train, y_train, x_val, y_val = _split_small_data()
+    snapshots = []
+    real_clone = gan_module.clone_network
+
+    def spy(net):
+        snapshots.append(net)
+        return real_clone(net)
+
+    monkeypatch.setattr(gan_module, "clone_network", spy)
+    config = BaselineConfig(seed=0, max_epochs=200, patience=12)
+    net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config)
+    val_losses = [h[2] for h in history]
+    improving = [i for i, loss in enumerate(val_losses)
+                 if loss < min(val_losses[:i], default=np.inf)]
+    assert len(history) > len(improving) > 1
+    assert len(snapshots) == len(improving)
+
+
 def test_baseline_rejects_empty_validation():
     x, y = small_training_data()
     with pytest.raises(SpecError):
