@@ -1,16 +1,21 @@
 """Command-line entry points for the experiment matrix.
 
-Subcommands: synth, train, distances, evaluate, generate. Every run writes
-a manifest.json from which it can be replayed bit-identically. Each command
-parses its arguments, loads and validates every input, computes, and only
-then creates its output and writes, so a validation error leaves the output
-as it was. Exit codes: 0 success, 1 validation problem, 2 numeric divergence.
+Subcommands: synth, train, distances, evaluate, generate. train and
+evaluate write a manifest.json of their run configuration, from which
+``train --manifest`` replays a training run bit-identically. distances
+writes a manifest.json of its data configuration and of the generator and
+row count it used, as a record only; synth and generate write none. Each
+command parses its arguments, loads and validates every input, computes,
+and only then creates its output and writes, so a validation error leaves
+the output as it was. Exit codes: 0 success, 1 validation problem, 2
+numeric divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -94,15 +99,12 @@ def _is_int_list(value) -> bool:
 
 
 @dataclass
-class RunConfig:
+class DataConfig:
+    """The data train, evaluate and distances read, and the seed that splits it."""
     dataset: str | None
     channels: list[int] | None
     synth: SynthSpec | None
     novel_classes: list[int]
-    variant: str
-    target_gca: list[float]
-    gan: GanConfig
-    baseline: BaselineConfig
     seed: int
 
     def __post_init__(self):
@@ -118,13 +120,25 @@ class RunConfig:
         if not _is_int_list(self.novel_classes):
             raise SpecError(f"novel classes must be a non-empty list of integers, "
                             f"got {self.novel_classes!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+@dataclass
+class RunConfig(DataConfig):
+    """The data and the training of one variant, as train and evaluate read them."""
+    variant: str
+    target_gca: list[float]
+    gan: GanConfig
+    baseline: BaselineConfig
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.variant not in VARIANTS:
             raise SpecError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not isinstance(self.target_gca, list) or not all(
                 type(t) in (int, float) and 0.0 <= t <= 1.0 for t in self.target_gca):
             raise SpecError(f"target GCA values must be numbers in [0, 1], got {self.target_gca}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "RunConfig":
@@ -167,12 +181,12 @@ def _read_json(path: Path, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _write_manifest(config: RunConfig, out: Path, variants: list[str] | None = None,
+def _write_manifest(config: DataConfig, out: Path, variants: list[str] | None = None,
                     command: str | None = None, **inputs) -> None:
-    """``config`` and the run environment. An evaluate run gives the
-    ``variants`` it evaluated, which are written in place of ``variant``.
-    Another command gives its name and the ``inputs`` it read besides
-    ``config``."""
+    """``config``, the data or run configuration the command read, and the
+    run environment. An evaluate run gives the ``variants`` it evaluated,
+    which are written in place of ``variant``. Another command gives its
+    name and the ``inputs`` it read besides ``config``."""
     items = asdict(config).items()
     if variants is not None:
         items = [("variants", variants) if k == "variant" else (k, v) for k, v in items]
@@ -249,17 +263,16 @@ def _add_data_args(p: _Parser) -> None:
                    help="comma-separated channel indices of --dataset to keep")
     p.add_argument("--novel-classes", type=_parse_ints,
                    help="comma-separated class labels held out as novel")
-    # the run configuration's defaults, for the commands without the flags
-    # too: distances records them in its manifest
-    p.set_defaults(variant="test_2", preset="dualmyo", epochs=None, batch_size=None,
-                   latent_size=None, target_gca=[0.95, 0.90])
 
 
 def _add_train_args(p: _Parser) -> None:
+    # also the defaults of the settings a command takes no flag for: train
+    # has no --target-gca, and evaluate sets the variant of each job itself
+    p.set_defaults(variant="test_2", target_gca=[0.95, 0.90])
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--batch-size", type=int, help="override batch size")
     p.add_argument("--latent-size", type=int, help="generator latent width")
-    p.add_argument("--preset", choices=["dualmyo", "uc2017"],
+    p.add_argument("--preset", choices=["dualmyo", "uc2017"], default="dualmyo",
                    help="hyperparameter preset (default %(default)s)")
 
 
@@ -313,6 +326,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _data_config_from_args(args, cls=DataConfig, **training) -> DataConfig:
+    """The ``cls`` config of ``args``' data flags and the ``training`` settings."""
+    return cls(
+        dataset=str(Path(args.dataset).resolve()) if args.dataset else None,
+        channels=args.channels,
+        synth=SynthSpec(*args.synth_spec, seed=args.synth_seed) if args.synth_spec else None,
+        novel_classes=args.novel_classes,
+        seed=args.seed,
+        **training,
+    )
+
+
 def _run_config_from_args(args) -> RunConfig:
     overrides = {name: getattr(args, name) for name in ("epochs", "batch_size", "latent_size")
                  if getattr(args, name) is not None}
@@ -321,20 +346,16 @@ def _run_config_from_args(args) -> RunConfig:
     supervised = {"max_epochs": args.epochs, "batch_size": args.batch_size}
     baseline = BaselineConfig(seed=args.seed,
                               **{k: v for k, v in supervised.items() if v is not None})
-    return RunConfig(
-        dataset=str(Path(args.dataset).resolve()) if args.dataset else None,
-        channels=args.channels,
-        synth=SynthSpec(*args.synth_spec, seed=args.synth_seed) if args.synth_spec else None,
-        novel_classes=args.novel_classes,
+    return _data_config_from_args(
+        args, RunConfig,
         variant=args.variant,
         target_gca=args.target_gca,
         gan=preset(seed=args.seed, **overrides),
         baseline=baseline,
-        seed=args.seed,
     )
 
 
-def _prepare(config: RunConfig) -> PreparedData:
+def _prepare(config: DataConfig) -> PreparedData:
     from .experiments import prepare_data
 
     if config.dataset is not None:
@@ -475,12 +496,13 @@ def cmd_train(args) -> int:
 def cmd_distances(args) -> int:
     from .experiments import distance_tables
 
-    config = _run_config_from_args(args)
+    config = _data_config_from_args(args)
     prep = _prepare(config)
-    generator = standardizer = None
+    generator = standardizer = digest = None
     model = Path(args.model) if args.model else None
     if model is not None and (model / "generator.json").exists():
         generator, standardizer = _load_generator(model, prep)
+        digest = hashlib.sha256((model / "generator.json").read_bytes()).hexdigest()
     else:
         missing = "no --model given" if model is None else f"{model / 'generator.json'} not found"
         print(f"warning: {missing}; GAN column omitted", file=sys.stderr)
@@ -491,7 +513,7 @@ def cmd_distances(args) -> int:
     report.to_csv(out / "distances.csv")
     _write_manifest(config, out, command="distances",
                     model=None if generator is None else str(model.resolve()),
-                    n_generated=args.n_generated)
+                    generator_sha256=digest, n_generated=args.n_generated)
     print(f"distance table written to {out / 'distances.csv'}")
     return 0
 

@@ -220,9 +220,11 @@ class BatchNorm(_Elementwise):
     def forward(self, x, rng=None, update_stats=True):
         self._check_width(x)
         mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        centered = x - mean
+        # the bits of x.var(axis=0), without centering the batch a second time
+        var = np.square(centered).mean(axis=0)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat = centered * inv_std
         if update_stats:
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mean

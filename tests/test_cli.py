@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -170,6 +171,10 @@ def test_distances_with_and_without_model(tmp_path, capsys):
     assert all(row[3] != "" for row in rows[1:])
 
 
+DISTANCES_KEYS = ["command", "dataset", "channels", "synth", "novel_classes", "seed",
+                  "model", "generator_sha256", "n_generated", cli.ENVIRONMENT]
+
+
 def test_distances_manifest_records_its_command_model_and_row_count(tmp_path, capsys):
     model = tmp_path / "model"
     assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
@@ -178,14 +183,42 @@ def test_distances_manifest_records_its_command_model_and_row_count(tmp_path, ca
     assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--model", model,
                    "--n-generated", "30", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert list(manifest)[0] == "command" and manifest["command"] == "distances"
+    assert list(manifest) == DISTANCES_KEYS and manifest["command"] == "distances"
     assert manifest["model"] == str(model.resolve())
     assert manifest["n_generated"] == 30
     # without a generator there is no GAN column, and no model behind it
     bare = tmp_path / "bare"
     assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--out", bare) == 0
     manifest = json.loads((bare / "manifest.json").read_text())
+    assert list(manifest) == DISTANCES_KEYS
     assert manifest["model"] is None and manifest["n_generated"] is None
+    assert manifest["generator_sha256"] is None
+
+
+def test_distances_manifest_names_the_generator_by_its_digest(tmp_path, capsys):
+    model = tmp_path / "model"
+    digests = []
+    for seed in ("7", "8"):  # the same model directory, retrained
+        assert run_cli("train", *SMALL_DATA, "--seed", seed, "--batch-size", "8",
+                       "--latent-size", "3", "--variant", "test_2", "--epochs", "2",
+                       "--out", model) == 0
+        out = tmp_path / f"dist{seed}"
+        assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--model", model,
+                       "--n-generated", "20", "--out", out) == 0
+        digest = json.loads((out / "manifest.json").read_text())["generator_sha256"]
+        assert digest == hashlib.sha256((model / "generator.json").read_bytes()).hexdigest()
+        digests.append(digest)
+    assert digests[0] != digests[1]
+
+
+def test_distances_parses_its_data_flags_only():
+    args = cli.build_parser().parse_args(["distances", *SMALL_DATA, "--out", "d"])
+    for name in ("variant", "preset", "epochs", "batch_size", "latent_size", "target_gca"):
+        assert not hasattr(args, name), name
+    for command in ("train", "evaluate"):
+        args = cli.build_parser().parse_args([command, *SMALL_DATA, "--out", "d"])
+        assert (args.variant, args.preset, args.target_gca) == ("test_2", "dualmyo",
+                                                                 [0.95, 0.90])
 
 
 def test_train_manifest_of_a_distances_run_exits_one_before_writing(tmp_path, capsys):
@@ -197,20 +230,19 @@ def test_train_manifest_of_a_distances_run_exits_one_before_writing(tmp_path, ca
     assert not (tmp_path / "x").exists()
 
 
-def test_manifest_without_a_command_replays_as_a_training_run(tmp_path, capsys):
+def test_distances_manifest_without_its_command_exits_one_naming_the_training_keys(
+        tmp_path, capsys):
+    # a distances manifest records no training, so it cannot pass for a training run's
     out = tmp_path / "dist"
     assert run_cli("distances", *SMALL_DATA, "--seed", "7", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     del manifest["command"]
-    manifest["gan"]["epochs"] = 3
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(manifest))
-    assert run_cli("train", "--manifest", edited, "--out", tmp_path / "replay") == 0
-    assert run_cli("train", *SMALL_DATA, "--seed", "7", "--epochs", "3",
-                   "--out", tmp_path / "direct") == 0
-    for name in ("losses.csv", "generator.json", "discriminator.json"):
-        assert ((tmp_path / "replay" / name).read_bytes()
-                == (tmp_path / "direct" / name).read_bytes()), name
+    code, err = _error_exit(capsys, "train", "--manifest", edited, "--out", tmp_path / "x")
+    assert code == 1 and err.startswith("error: ")
+    assert "lacks variant, target_gca, gan, baseline" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_and_evaluate_manifests_hold_their_config_and_environment_only(tmp_path):
@@ -342,6 +374,23 @@ def test_evaluate_retrains_when_the_stored_manifest_differs(tmp_path):
     stamp = (reused / "test_2" / "discriminator.json").stat().st_mtime_ns
     assert run_cli("evaluate", *common, "--epochs", "2", "--out", reused) == 0
     assert (reused / "test_2" / "discriminator.json").stat().st_mtime_ns == stamp
+
+
+def test_evaluate_reuses_a_model_whose_manifest_has_the_seed_last(tmp_path):
+    # manifests written before the data config was split off record the seed
+    # after the training configs; key order is not part of the configuration
+    out = tmp_path / "eval"
+    args = ["evaluate", *SMALL_DATA, *FAST, "--variants", "baseline_a", "--out", out]
+    assert run_cli(*args) == 0
+    path = out / "baseline_a" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    earlier = {k: v for k, v in manifest.items() if k not in ("seed", cli.ENVIRONMENT)}
+    earlier = {**earlier, "seed": manifest["seed"], cli.ENVIRONMENT: manifest[cli.ENVIRONMENT]}
+    assert list(earlier)[-2:] == ["seed", cli.ENVIRONMENT] and list(manifest)[4] == "seed"
+    path.write_text(json.dumps(earlier, indent=1))
+    stamp = (out / "baseline_a" / "discriminator.json").stat().st_mtime_ns
+    assert run_cli(*args) == 0
+    assert (out / "baseline_a" / "discriminator.json").stat().st_mtime_ns == stamp
 
 
 def _error_exit(capsys, *args):

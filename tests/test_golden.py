@@ -6,10 +6,12 @@ The matrix: ``synth --spec 5,30,6``, ``evaluate`` of all four variants at
 and one ``generate`` whose inference runs in several row blocks
 (``INFER_BLOCK_ROWS``); then ``train`` of ``baseline_a`` on a raw-sample
 manifest, whose recordings vary in length, with a subset of channels.
-Every output file but the manifests is hashed:
-checkpoints by their arrays' float64 bits and the rest of their document,
-every other file by its bytes. A change to the outputs that is meant
-updates ``golden_digests.json`` by running this file:
+Every output file is hashed: checkpoints by their arrays' float64 bits and
+the rest of their document; manifests parsed, without their
+``environment`` and with the scratch root replaced by a fixed token; every
+other file by its bytes. A change to the outputs that is meant updates
+``golden_digests.json`` by running this file, which prints the names of
+the digests it added, changed or removed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -85,7 +87,15 @@ def _arrays_as_bits(node):
     return node
 
 
-def _digest(path: Path) -> str:
+def _digest(path: Path, root: Path) -> str:
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        del manifest["environment"]  # the machine's, not the run's
+        canonical = json.dumps(manifest, sort_keys=True)
+        # the manifests record resolved paths; the root itself may be a link
+        for prefix in (str(root.resolve()), str(root)):
+            canonical = canonical.replace(prefix, "<root>")
+        return hashlib.sha256(canonical.encode()).hexdigest()
     if path.suffix == ".json" and path.name not in ("report.json", "preprocessing.json"):
         canonical = json.dumps(_arrays_as_bits(json.loads(path.read_text())), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
@@ -94,8 +104,8 @@ def _digest(path: Path) -> str:
 
 def matrix_digests(root: Path) -> dict:
     _run_matrix(root)
-    return {str(p.relative_to(root)): _digest(p) for p in sorted(root.rglob("*"))
-            if p.is_file() and p.name != "manifest.json"}
+    return {str(p.relative_to(root)): _digest(p, root) for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
 
 def _environment() -> dict:
@@ -117,7 +127,15 @@ def test_outputs_match_the_golden_digests(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    stored = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
         payload = {"environment": _environment(), "digests": matrix_digests(Path(scratch))}
     DIGESTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(payload['digests'])} digests to {DIGESTS}", file=sys.stderr)
+    digests = payload["digests"]
+    for what, names in (("added", set(digests) - set(stored)),
+                        ("changed", {k for k in set(digests) & set(stored)
+                                     if digests[k] != stored[k]}),
+                        ("removed", set(stored) - set(digests))):
+        for name in sorted(names):
+            print(f"{what}: {name}", file=sys.stderr)
+    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
