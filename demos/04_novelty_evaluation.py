@@ -25,10 +25,10 @@ for variant in ("baseline_a", "test_1a"):
     print(f"{variant}: trained in {len(model.history)} epochs "
           f"(early stopping, patience {baseline_config.patience})")
 
-print(f"\n{'variant':<12} {'tau':>6} {'GCA%':>7} {'NDA%':>7} {'bal%':>7} {'wgt%':>7}")
+print(f"\n{'variant':<12} {'tau':>20} {'GCA%':>7} {'NDA%':>7} {'bal%':>7} {'wgt%':>7}")
 for variant, evaluation in rows:
     for row in evaluation.rows:
-        print(f"{variant:<12} {row.tau:>6.3f} {100 * row.gca:>7.1f} "
+        print(f"{variant:<12} {row.tau!r:>20} {100 * row.gca:>7.1f} "
               f"{100 * row.nda:>7.1f} {100 * row.mean_balanced:>7.1f} "
               f"{100 * row.mean_weighted:>7.1f}")
     print(f"{variant:<12} AUC {evaluation.auc:.3f}")

@@ -608,7 +608,7 @@ def _write_accuracy_csv(results, targets, path) -> None:
             for i, row in enumerate(result["rows"]):
                 cells += [f"{100.0 * row[key]:.1f}"
                           for key in ("gca", "nda", "mean_balanced", "mean_weighted")]
-                cells += [f"{row['tau']:.3f}"] * (i > 0)
+                cells += [repr(row["tau"])] * (i > 0)
             cells.append(repr(result["auc"]))
             writer.writerow(cells)
 

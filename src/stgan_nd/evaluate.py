@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ShapeError, SpecError
 
-THRESHOLD_GRID = np.arange(1001) / 1000.0  # 0, 0.001, ..., 1.0
 # float64 elements in one block of the set-distance broadcast (8 MB)
 DISTANCE_BLOCK_ELEMENTS = 1 << 20
 
@@ -148,15 +147,10 @@ def distance_report(real_by_class: dict, generated_by_class: dict | None,
 OTHERS = -1
 
 
-def classify_with_threshold(class_probs: np.ndarray, tau) -> np.ndarray:
-    """Argmax class per row, demoted to ``OTHERS`` when max prob < tau.
-
-    ``tau`` is a threshold in [0, 1], or an array of them that broadcasts
-    against the rows: a column of thresholds gives one row of decisions
-    per threshold.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if not np.all((tau >= 0.0) & (tau <= 1.0)):
+def classify_with_threshold(class_probs: np.ndarray, tau: float) -> np.ndarray:
+    """Argmax class per row, demoted to ``OTHERS`` when max prob < tau,
+    for one threshold ``tau`` in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
         raise SpecError(f"threshold must lie in [0, 1], got {tau}")
     class_probs = np.asarray(class_probs, dtype=float)
     if class_probs.ndim != 2:
@@ -194,9 +188,9 @@ class EvalReport:
 
 
 def _confusion_counts(decisions: np.ndarray, truths: np.ndarray) -> np.ndarray:
-    """The ``ConfusionCounts`` fields, in order, counted along the last
-    axis of ``decisions``: shape ``decisions.shape[:-1] + (5,)``."""
-    if decisions.shape[-1:] != truths.shape:
+    """The five ``ConfusionCounts`` fields, in order, of one vector of
+    decisions against its truths."""
+    if decisions.shape != truths.shape:
         raise ShapeError("decisions and truths differ in length")
     novel = truths == OTHERS
     n_novel = int(novel.sum())
@@ -206,13 +200,13 @@ def _confusion_counts(decisions: np.ndarray, truths: np.ndarray) -> np.ndarray:
     if n_novel == 0:
         raise SpecError("no novel samples: NDA is undefined")
     others = decisions == OTHERS
-    correct = ((decisions == truths) & ~novel).sum(axis=-1)
-    trained_as_others = (others & ~novel).sum(axis=-1)
-    novel_as_others = (others & novel).sum(axis=-1)
-    return np.stack([
+    correct = ((decisions == truths) & ~novel).sum()
+    trained_as_others = (others & ~novel).sum()
+    novel_as_others = (others & novel).sum()
+    return np.array([
         correct, n_trained - correct - trained_as_others, trained_as_others,
         novel_as_others, n_novel - novel_as_others,
-    ], axis=-1)
+    ])
 
 
 def _gca_nda(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,14 +235,29 @@ def compute_gca_nda(decisions: np.ndarray, truths, tau: float = 0.0) -> EvalRepo
 
 
 def tune_threshold(class_probs: np.ndarray, truths, target_gca: float) -> tuple[float, EvalReport]:
-    """Pick the grid threshold that maximizes NDA subject to GCA >= target.
+    """Pick the threshold that maximizes NDA subject to GCA >= target.
 
-    NDA ties resolve toward the higher GCA (smaller threshold). When no
-    threshold reaches the target GCA, the one whose GCA is closest to the
-    target wins.
+    The candidates are 0, each distinct max class probability and 1.0:
+    every tau in [0, 1] splits the rows as one of them does. Sorting the
+    max probabilities once gives the rows each candidate demotes, and
+    running sums over them give the confusion counts at every candidate.
+    NDA ties resolve toward the higher GCA, then the smaller threshold.
+    When no candidate reaches the target GCA, the one closest to it wins.
     """
-    decisions = classify_with_threshold(class_probs, THRESHOLD_GRID[:, None])
-    counts = _confusion_counts(decisions, _truth_codes(truths))
+    class_probs = np.asarray(class_probs, dtype=float)
+    codes = _truth_codes(truths)
+    decisions = classify_with_threshold(class_probs, 0.0)
+    kept = _confusion_counts(decisions, codes)
+    top = class_probs.max(axis=1)
+    order = np.argsort(top)
+    taus = np.unique(np.r_[0.0, top, 1.0])
+    demoted = np.searchsorted(top[order], taus)  # rows with max < tau
+    novel = codes[order] == OTHERS
+    correct = (decisions[order] == codes[order]) & ~novel
+    # row k: correct trained, wrong trained and novel rows among the k lowest maxima
+    moved = np.cumsum(np.stack([correct, ~novel & ~correct, novel], axis=1), axis=0)
+    c, w, n = np.r_[np.zeros((1, 3), dtype=int), moved][demoted].T
+    counts = kept + np.stack([-c, -w, c + w, n, -n], axis=1)
     gca, nda = _gca_nda(counts)
     feasible = gca >= target_gca - 1e-12
     if feasible.any():
@@ -260,7 +269,7 @@ def tune_threshold(class_probs: np.ndarray, truths, target_gca: float) -> tuple[
         gap = np.abs(gca - target_gca)
         tied = np.flatnonzero(gap == gap.min())
         best = tied[np.argmax(nda[tied])]
-    tau = float(THRESHOLD_GRID[best])
+    tau = float(taus[best])
     return tau, _report(counts[best], tau)
 
 

@@ -8,7 +8,6 @@ import stgan_nd.evaluate as evaluate_module
 from stgan_nd.errors import ShapeError, SpecError
 from stgan_nd.evaluate import (
     OTHERS,
-    THRESHOLD_GRID,
     ConfusionCounts,
     classify_with_threshold,
     compute_gca_nda,
@@ -238,12 +237,33 @@ def test_threshold_monotonicity_over_grid():
     probs = raw / raw.sum(axis=1, keepdims=True)
     truths = [int(t) if t < 6 else None for t in rng.integers(0, 8, 120)]
     gcas, ndas = [], []
-    for tau in THRESHOLD_GRID[::50]:
+    for tau in np.arange(0, 1001, 50) / 1000.0:
         report = compute_gca_nda(classify_with_threshold(probs, float(tau)), truths)
         gcas.append(report.gca)
         ndas.append(report.nda)
     assert all(a >= b - 1e-12 for a, b in zip(gcas, gcas[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(ndas, ndas[1:]))
+
+
+def test_tune_threshold_demotes_rows_between_0_999_and_1():
+    # a 0.001 grid keeps every row from 0.501 to 0.999 (GCA 1.0, NDA 0.5)
+    # and demotes every unsaturated row at 1.0 (GCA 0.4): it overshoots
+    # the 0.8 target, where tau 0.9999 demotes both near-certain novel rows
+    top = [1.0] * 4 + [0.9999] * 4 + [0.9992] * 2 + [0.9995, 0.9995, 0.5, 0.5]
+    probs = np.array([[p, 1.0 - p] for p in top])
+    truths = [0] * 10 + [None] * 4
+    tau, report = tune_threshold(probs, truths, 0.8)
+    assert tau == 0.9999
+    assert (report.gca, report.nda) == (0.8, 1.0)
+
+
+def test_tune_threshold_at_1_demotes_every_unsaturated_row():
+    # the novel row holds the largest max probability, so only tau 1.0
+    # reaches NDA 1, which the unconstrained target 0 prefers
+    probs = np.array([[0.4, 0.6], [0.7, 0.3]])
+    tau, report = tune_threshold(probs, [1, None], 0.0)
+    assert tau == 1.0
+    assert (report.gca, report.nda) == (0.0, 1.0)
 
 
 def test_tune_threshold_falls_back_to_closest_gca():
@@ -265,14 +285,16 @@ def test_tune_threshold_requires_novel_samples():
 @st.composite
 def _scored_samples(draw):
     """Class probabilities rounded to two decimals, so that maxima tie
-    within rows, across rows and with grid thresholds; truths with both
-    trained and novel (None) samples."""
+    within rows, across rows and with grid thresholds, some rows saturated
+    at exactly 1.0; truths with both trained and novel (None) samples."""
     n_classes = draw(st.integers(1, 5))
     n = draw(st.integers(2, 40))
     raw = np.array(draw(st.lists(st.integers(1, 9), min_size=n * n_classes,
                                  max_size=n * n_classes)), dtype=float)
     raw = raw.reshape(n, n_classes)
     probs = np.round(raw / raw.sum(axis=1, keepdims=True), 2)
+    saturated = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    probs[saturated] = np.eye(n_classes)[probs[saturated].argmax(axis=1)]
     truths = draw(st.lists(st.none() | st.integers(0, n_classes - 1), min_size=n, max_size=n))
     assume(None in truths and any(t is not None for t in truths))
     return probs, truths
@@ -312,24 +334,49 @@ def test_gca_nda_matches_a_count_over_the_rows(samples, data):
     assert report.tau == tau
 
 
+def threshold_candidates(probs) -> list[float]:
+    """0, each distinct max class probability and 1.0, in increasing order."""
+    return sorted({0.0, 1.0} | set(probs.max(axis=1).tolist()))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_scored_samples(), st.sampled_from([0.0, 0.5, 0.8, 0.9, 0.95, 1.0]))
-def test_tuned_threshold_is_a_grid_point_reported_as_compute_gca_nda(samples, target):
+def test_tuned_threshold_is_a_candidate_reported_as_compute_gca_nda(samples, target):
     probs, truths = samples
     tau, report = tune_threshold(probs, truths, target)
-    assert tau in THRESHOLD_GRID
+    assert tau in threshold_candidates(probs)
     at_tau = compute_gca_nda(classify_with_threshold(probs, tau), truths, tau)
     assert asdict(report) == asdict(at_tau)
     # among the grid thresholds that reach the target, none has a higher
     # NDA, nor at the same NDA a higher GCA; when none reaches it, none
     # comes closer to it
     feasible = report.gca >= target - 1e-12
-    for other in THRESHOLD_GRID[::20]:
+    for other in np.arange(0, 1001, 20) / 1000.0:
         r = compute_gca_nda(classify_with_threshold(probs, other), truths)
         if feasible:
             assert r.gca < target - 1e-12 or (r.nda, r.gca) <= (report.nda, report.gca)
         else:
             assert abs(r.gca - target) >= abs(report.gca - target)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_scored_samples())
+def test_tuned_threshold_equals_a_brute_force_loop_over_the_candidates(samples):
+    probs, truths = samples
+    reports = [compute_gca_nda(classify_with_threshold(probs, tau), truths, tau)
+               for tau in threshold_candidates(probs)]
+    for target in [0.0, 0.5, 0.8, 0.9, 0.95, 1.0]:
+        best, best_key = None, None
+        for r in reports:
+            if r.gca >= target - 1e-12:
+                key = (True, r.nda, r.gca)
+            else:
+                key = (False, -abs(r.gca - target), r.nda)
+            if best_key is None or key > best_key:  # a tie keeps the smaller tau
+                best, best_key = r, key
+        tau, report = tune_threshold(probs, truths, target)
+        assert tau == best.tau
+        assert asdict(report) == asdict(best)
 
 
 # ------------------------------------------------------------------- ROC

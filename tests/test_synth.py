@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stgan_nd.errors import SpecError
-from stgan_nd.evaluate import classify_with_threshold, compute_gca_nda
 from stgan_nd.experiments import evaluate_model, prepare_data, train_variant
 from stgan_nd.gan import BaselineConfig, GanConfig
 from stgan_nd.synth import (
