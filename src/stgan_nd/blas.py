@@ -1,11 +1,11 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
 Every command runs on one thread: the training matmuls are tiny, the
-inference ones gain little from a second thread, and an idle OpenBLAS
-thread spins on a core the set distances can use. One thread also makes
-the outputs the same on any machine: the last bits of the discriminator's
-300-wide matmuls depend on the thread count, so the evaluation's ROC files
-would otherwise depend on the core count. numpy's wheels bundle
+inference ones and the set distances gain little from a second thread,
+and an idle OpenBLAS thread spins on a core. One thread also makes the
+outputs the same on any machine: the last bits of a matrix product depend
+on the thread count, so the ROC files and the distance tables would
+otherwise depend on the core count. numpy's wheels bundle
 OpenBLAS with prefixed symbol names (``scipy_openblas_set_num_threads64_``);
 a system OpenBLAS has the plain ``openblas_`` ones. Where numpy uses
 another BLAS, pinning does nothing.

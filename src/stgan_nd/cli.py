@@ -50,10 +50,10 @@ def _load_numpy_on_one_thread() -> None:
 
 _load_numpy_on_one_thread()
 
-# Each command imports only the modules it runs: the experiments, the
-# evaluation and its thread pool load in the commands that train, evaluate
-# or measure distances, not in synth or generate. Without a bytecode cache
-# every module imported is compiled again on every run.
+# Each command imports only the modules it runs: the experiments and the
+# evaluation load in the commands that train, evaluate or measure
+# distances, not in synth or generate. Without a bytecode cache every
+# module imported is compiled again on every run.
 from . import blas  # noqa: E402
 from .data import Standardizer, load_dataset, save_dataset  # noqa: E402
 from .errors import DataError, NumericError, ShapeError, SpecError, StateError  # noqa: E402

@@ -3,25 +3,46 @@
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_thread
 from .errors import ShapeError, SpecError
 
-# float64 elements in one block of the set-distance broadcast (8 MB)
+# entries in one block of a set's (rows, len(x)) distance matrix (8 MB)
 DISTANCE_BLOCK_ELEMENTS = 1 << 20
+# An entry at or below this share of its centred rows' squared norms is
+# recomputed from the row difference. Above it, |y|^2 + |x|^2 - 2 y.x over k
+# features errs by at most 2 gamma(k+2) (|y|^2 + |x|^2), gamma(m) ~ m 2**-53
+# (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3), so a
+# distance is within (k + 2) 2**-53 / NEAR_SHARE relative: 2e-13 at 16 features.
+NEAR_SHARE = 1e-2
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full (len(y), len(x)) matrix of L2 distances."""
+    """Full (len(y), len(x)) matrix of L2 distances, from one matrix product.
+
+    Centred on ``x``'s column mean, each squared distance is taken as
+    |y|^2 + |x|^2 - 2 y.x; entries where that cancels (see ``NEAR_SHARE``)
+    are recomputed from the row difference, so identical rows give exactly
+    0.0. The last bits of the others depend on the shape of the product.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature widths differ: {x.shape} vs {y.shape}")
-    diff = y[:, None, :] - x[None, :, :]
-    dists = np.square(diff, out=diff).sum(axis=2)
+    centre = x.mean(axis=0)
+    xc, yc = x - centre, y - centre
+    norms = np.einsum("ij,ij->i", yc, yc)[:, None] + np.einsum("ij,ij->i", xc, xc)
+    dists = yc @ (-2.0 * xc.T)
+    dists += norms
+    norms *= NEAR_SHARE
+    near = dists <= norms
+    if near.any():
+        rows, cols = np.nonzero(near)
+        diff = y[rows] - x[cols]
+        dists[rows, cols] = np.einsum("ij,ij->i", diff, diff)
     return np.sqrt(dists, out=dists)
 
 
@@ -29,12 +50,12 @@ def pairwise_set_distance(x: np.ndarray, y: np.ndarray, exclude_self: bool = Fal
     """Mean L2 distance from each row of ``y`` to the set ``x``.
 
     With ``exclude_self`` (intra-class baseline where x and y are the same
-    set in the same order), the j == i term is dropped and the divisor
-    becomes N - 1.
+    set in the same order), the j == i term, exactly 0.0, is dropped and
+    the divisor becomes N - 1.
 
-    Rows of ``y`` are taken in blocks so that the broadcast stays within
-    ``DISTANCE_BLOCK_ELEMENTS``; each row's result is computed exactly as
-    from the full distance matrix.
+    Rows of ``y`` are taken in blocks of at most ``DISTANCE_BLOCK_ELEMENTS``
+    distances; a set that fits one block gets the bits of
+    ``pairwise_distances(x, y)``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -48,15 +69,11 @@ def pairwise_set_distance(x: np.ndarray, y: np.ndarray, exclude_self: bool = Fal
             raise ShapeError("exclude_self requires x and y to be the same set")
         if n < 2:
             raise SpecError("need at least 2 samples to exclude the self-distance")
-    rows = max(1, DISTANCE_BLOCK_ELEMENTS // max(1, n * x.shape[1]))
+    rows = max(1, DISTANCE_BLOCK_ELEMENTS // n)
     out = np.empty(y.shape[0])
     for start in range(0, y.shape[0], rows):
         dists = pairwise_distances(x, y[start:start + rows])
-        if exclude_self:
-            own = dists[np.arange(dists.shape[0]), np.arange(start, start + dists.shape[0])]
-            out[start:start + rows] = (dists.sum(axis=1) - own) / (n - 1)
-        else:
-            out[start:start + rows] = dists.mean(axis=1)
+        out[start:start + rows] = dists.sum(axis=1) / (n - 1 if exclude_self else n)
     return out
 
 
@@ -103,13 +120,6 @@ def _set_distance_stats(x: np.ndarray, y: np.ndarray, exclude_self: bool = False
     return float(values.mean()), float(values.std())
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def distance_report(real_by_class: dict, generated_by_class: dict | None,
                     random_by_class: dict) -> DistanceReport:
     """Per-class distance statistics for the three comparisons.
@@ -118,29 +128,19 @@ def distance_report(real_by_class: dict, generated_by_class: dict | None,
     each generated/random sample against the real set of its class. The
     GAN column may be omitted by passing None.
 
-    Each set distance runs on a thread pool with one worker per usable
-    CPU: numpy releases the interpreter lock in its loops, and every set
-    is computed exactly as on one thread.
+    The sets are computed in turn on the calling thread, with OpenBLAS
+    pinned to one thread: the last bits of a matrix product depend on the
+    BLAS thread count, so the table is the same on any machine.
     """
-    # imported here: the thread pool and the logging it loads are a
-    # start-up cost of every command that computes no distance table
-    from concurrent.futures import ThreadPoolExecutor
-
-    classes = sorted(real_by_class)
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        jobs = {}
-        for cls in classes:
-            real = np.asarray(real_by_class[cls], dtype=float)
-            jobs[cls] = (
-                pool.submit(_set_distance_stats, real, real, True),
+    with single_thread():
+        return DistanceReport({
+            cls: ClassDistances(
+                _set_distance_stats(real, real, True),
                 None if generated_by_class is None
-                else pool.submit(_set_distance_stats, real, generated_by_class[cls]),
-                pool.submit(_set_distance_stats, real, random_by_class[cls]),
-            )
-    return DistanceReport({
-        cls: ClassDistances(*(None if job is None else job.result() for job in jobs[cls]))
-        for cls in classes
-    })
+                else _set_distance_stats(real, generated_by_class[cls]),
+                _set_distance_stats(real, random_by_class[cls]))
+            for cls, real in sorted(real_by_class.items())
+        })
 
 
 # decision or truth code for "others": a demoted decision, or a novel sample

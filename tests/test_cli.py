@@ -1025,20 +1025,30 @@ def _fresh_python(code: str, *args, **env) -> str:
 
 _CLI_MAIN = "import sys; from stgan_nd.cli import main; sys.exit(main(sys.argv[1:]))"
 _LOADED = ("multiprocessing", "concurrent.futures", "stgan_nd.experiments", "stgan_nd.evaluate")
+# prints which of the modules in the format argument one command left loaded
 _MODULES_AFTER_MAIN = ("import json, sys; from stgan_nd.cli import main; main(sys.argv[1:]); "
-                       f"print(json.dumps([m in sys.modules for m in {_LOADED!r}]))")
+                       "print(json.dumps([m in sys.modules for m in {!r}]))")
+
+
+def _loaded_after(modules: tuple, *args) -> dict:
+    out = _fresh_python(_MODULES_AFTER_MAIN.format(modules), *args)
+    return dict(zip(modules, json.loads(out.splitlines()[-1])))
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded(small_gan, tmp_path):
     probe = "import sys, stgan_nd.cli; print('multiprocessing' in sys.modules)"
     assert _fresh_python(probe).strip() == "False"
     # a command imports only what it runs: neither synth nor generate loads
-    # the experiments, the evaluation or its thread pool
+    # the experiments or the evaluation
     for args in (["synth", "--spec", "3,4,2", "--out", tmp_path / "d.csv"],
                  ["generate", "--model", small_gan, "--class", "1", "-n", "4",
                   "--out", tmp_path / "s.csv"]):
-        loaded = json.loads(_fresh_python(_MODULES_AFTER_MAIN, *args).splitlines()[-1])
-        assert not any(loaded), dict(zip(_LOADED, loaded))
+        loaded = _loaded_after(_LOADED, *args)
+        assert not any(loaded.values()), loaded
+    # distances computes its sets on the calling thread: no pool, no logging
+    loaded = _loaded_after(("multiprocessing", "concurrent.futures", "logging"), "distances",
+                           *SMALL_DATA, "--model", small_gan, "--out", tmp_path / "dist")
+    assert not any(loaded.values()), loaded
 
 
 _THREADS_PROBE = """

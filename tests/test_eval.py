@@ -1,8 +1,10 @@
+import os
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import stgan_nd.evaluate as evaluate_module
 from stgan_nd.errors import ShapeError, SpecError
@@ -37,34 +39,65 @@ def brute_force_set_distance(x, y, exclude_self=False):
     return out
 
 
+def exact_distances(x, y):
+    """The (len(y), len(x)) distances in long double, from the differences."""
+    diff = y.astype(np.longdouble)[:, None, :] - x.astype(np.longdouble)[None, :, :]
+    return np.sqrt(np.square(diff).sum(axis=2))
+
+
 @pytest.mark.parametrize("block_elements,n_x,n_y", [
-    (5 * 7 * 3, 7, 23),                                  # blocks of 5 rows, 3 left over
-    (7 * 3, 7, 7),                                       # one row per block
-    (evaluate_module.DISTANCE_BLOCK_ELEMENTS, 110, 1200),  # the real budget: 595 + 595 + 10
+    (5 * 7, 7, 23),                                          # blocks of 5 rows, 3 left over
+    (7, 7, 7),                                               # one row per block
+    (23 * 7, 7, 23),                                         # one block
+    (evaluate_module.DISTANCE_BLOCK_ELEMENTS, 110, 10000),   # the real budget: 9532 + 468
 ])
-def test_blocked_set_distance_equals_the_full_matrix_bit_for_bit(
-        monkeypatch, block_elements, n_x, n_y):
+def test_blocked_set_distance_matches_the_full_matrix(monkeypatch, block_elements, n_x, n_y):
+    # a matrix product rounds differently in blocks of different shapes, so
+    # blocked and full agree to the kernel's accuracy, and bit for bit
+    # where one block covers the set
     width = 3 if n_x < 100 else 16
     monkeypatch.setattr(evaluate_module, "DISTANCE_BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(n_y)
     x = rng.normal(size=(n_x, width)) * 3.0
     y = rng.normal(size=(n_y, width))
-    full = pairwise_distances(x, y)
-    np.testing.assert_array_equal(pairwise_set_distance(x, y), full.mean(axis=1))
-    own = pairwise_distances(y, y)
-    np.testing.assert_array_equal(pairwise_set_distance(y, y, exclude_self=True),
-                                  (own.sum(axis=1) - np.diag(own)) / (n_y - 1))
+
+    def check(got, expected, pairs):
+        if pairs <= block_elements:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    check(pairwise_set_distance(x, y), pairwise_distances(x, y).mean(axis=1), n_x * n_y)
+    own = pairwise_distances(x, x)
+    check(pairwise_set_distance(x, x, exclude_self=True),
+          (own.sum(axis=1) - np.diag(own)) / (n_x - 1), n_x * n_x)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-def test_pairwise_distances_equal_the_out_of_place_expression_bit_for_bit(n_x, n_y, width, seed):
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n_x=st.integers(1, 30), n_y=st.integers(0, 30), width=st.integers(1, 40),
+       offset=st.floats(-1e6, 1e6), log_scale=st.floats(-3.0, 3.0),
+       copies=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(n_x=1, n_y=5, width=16, offset=0.0, log_scale=0.0, copies=1, seed=0)  # a GEMV
+@example(n_x=6, n_y=1, width=16, offset=3.0, log_scale=0.0, copies=0, seed=1)  # a GEMV
+@example(n_x=4, n_y=0, width=16, offset=0.0, log_scale=0.0, copies=0, seed=2)  # empty y
+def test_pairwise_distances_match_a_long_double_oracle(
+        n_x, n_y, width, offset, log_scale, copies, seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n_x, width)) * rng.uniform(0.1, 100.0)
-    y = rng.normal(size=(n_y, width))
-    expected = np.sqrt(np.square(y[:, None, :] - x[None, :, :]).sum(axis=2))
-    np.testing.assert_array_equal(pairwise_distances(x, y).view(np.uint64),
-                                  expected.view(np.uint64))
+    scale = 10.0 ** log_scale
+    x = rng.normal(size=(n_x, width)) * scale + offset
+    y = rng.normal(size=(n_y, width)) * scale + offset
+    # exact copies of rows of x, then the same rows moved by 1e-9 of the scale
+    k = min(copies, n_y // 2)
+    copied = rng.integers(0, n_x, size=k)
+    y[:k] = x[copied]
+    y[k:2 * k] = x[copied] + 1e-9 * scale * rng.normal(size=(k, width))
+
+    got = pairwise_distances(x, y)
+    exact = exact_distances(x, y)
+    assert got.shape == (n_y, n_x)
+    assert np.all(np.abs(got - exact) <= 1e-12 * exact)
+    assert np.all(got[np.arange(k), copied] == 0.0)
+    assert np.all(np.diag(pairwise_distances(x, x)) == 0.0)
 
 
 def test_distance_to_identical_single_row_is_zero():
@@ -150,10 +183,43 @@ def test_distance_report_equals_the_sets_computed_one_by_one():
                 (row.gan, pairwise_set_distance(real[cls], generated[cls])),
                 (row.random, pairwise_set_distance(real[cls], random_samples[cls]))):
             assert got == (float(values.mean()), float(values.std()))
-    # a worker's error reaches the caller
+    # a set's error reaches the caller
     random_samples[5] = rng.standard_normal((35, 4))
     with pytest.raises(ShapeError):
         distance_report(real, generated, random_samples)
+
+
+def test_distance_report_runs_its_products_on_the_calling_thread_and_one_blas_thread(
+        monkeypatch):
+    from stgan_nd import blas
+
+    lib = blas.openblas()
+    if lib is None:
+        pytest.skip("numpy is not using an OpenBLAS here")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS runs one thread on one CPU")
+    seen = []
+    real_distances = evaluate_module.pairwise_distances
+
+    def spy(x, y):
+        seen.append((threading.get_ident(), lib.get_num_threads()))
+        return real_distances(x, y)
+
+    def no_thread(self):
+        raise AssertionError("distance_report started a thread")
+
+    monkeypatch.setattr(evaluate_module, "pairwise_distances", spy)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    rng = np.random.default_rng(4)
+    real = {cls: rng.standard_normal((20, 5)) for cls in range(3)}
+    original = lib.get_num_threads()
+    try:
+        lib.set_num_threads(2)
+        distance_report(real, real, real)
+        assert lib.get_num_threads() == 2
+    finally:
+        lib.set_num_threads(original)
+    assert seen == [(threading.get_ident(), 1)] * 9
 
 
 def test_generation_spread_zero_for_collapsed_samples():
