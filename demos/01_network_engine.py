@@ -3,7 +3,9 @@
 
 Builds a two-head network, verifies a couple of hand-picked gradients
 against finite differences, trains it on a toy two-cluster problem, and
-round-trips it through the JSON checkpoint format.
+round-trips it through a JSON checkpoint. The save carries the Adam state,
+so it is a resume file (format v2, arrays as base64 float64); a save of the
+network alone would be a model file (format v1, arrays as JSON numbers).
 """
 import tempfile
 from pathlib import Path

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from stgan_nd.nn import (
     save_checkpoint,
 )
 from stgan_nd.nn import checkpoint
-from stgan_nd.nn.checkpoint import _CHUNK, _decode_array, _document
+from stgan_nd.nn.checkpoint import FORMAT_V1, FORMAT_V2, _CHUNK, _decode_array, _document
 from stgan_nd.nn.specs import (
     HEAD_ACTIVATIONS,
     batch_norm,
@@ -50,6 +51,7 @@ def test_round_trip_is_bit_identical(tmp_path):
     net.trunk[0].weight[0, 0] = 0.1 + 0.2
     net.trunk[0].weight[0, 1] = 1e-300
     net.trunk[0].weight[0, 2] = -1.5e16
+    net.trunk[0].weight[0, 3] = -0.0
     net.trunk[0].bias[0] = 2.0 ** -1074  # smallest subnormal
 
     state = AdamState.for_params(net.flat_parameters(), 0.001, beta1=0.5, decay=1e-6)
@@ -60,18 +62,29 @@ def test_round_trip_is_bit_identical(tmp_path):
     save_checkpoint(path, net, state, rng_seed=42)
     loaded, loaded_state, seed = load_checkpoint(path)
 
+    # optimizer state makes a v2 file, and the bits go through base64
+    assert json.loads(path.read_text())["format"] == FORMAT_V2
     assert seed == 42
     for p, q in zip(net.parameters(), loaded.parameters()):
-        np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(_bits(p), _bits(q))
     for a, b in zip(net.batch_norm_layers(), loaded.batch_norm_layers()):
-        np.testing.assert_array_equal(a.running_mean, b.running_mean)
-        np.testing.assert_array_equal(a.running_var, b.running_var)
+        np.testing.assert_array_equal(_bits(a.running_mean), _bits(b.running_mean))
+        np.testing.assert_array_equal(_bits(a.running_var), _bits(b.running_var))
     assert loaded_state.step_count == 1
     assert loaded_state.learning_rate == 0.001
     assert loaded_state.beta1 == 0.5
     assert loaded_state.decay == 1e-6
-    np.testing.assert_array_equal(loaded_state.first_moment, state.first_moment)
-    np.testing.assert_array_equal(loaded_state.second_moment, state.second_moment)
+    np.testing.assert_array_equal(_bits(loaded_state.first_moment), _bits(state.first_moment))
+    np.testing.assert_array_equal(_bits(loaded_state.second_moment), _bits(state.second_moment))
+    # moments are updated in place, so they load writable and native
+    assert loaded_state.first_moment.flags.writeable
+    assert loaded_state.second_moment.dtype == np.dtype(float)
+
+    # without optimizer state the same network makes a v1 file
+    save_checkpoint(path, net, rng_seed=42)
+    assert json.loads(path.read_text())["format"] == FORMAT_V1
+    loaded, _, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(_bits(loaded.flat_parameters()), _bits(net.flat_parameters()))
 
 
 def test_loaded_network_predicts_identically(tmp_path):
@@ -232,13 +245,16 @@ def test_random_spec_round_trip_is_bit_identical(tmp_path_factory, spec, seed, s
 
 
 def _earlier_layout(path, net, state, seed) -> None:
-    """Rewrite a checkpoint the way earlier versions wrote it: every value a
-    repr string, the optimizer's scalars too, under ``indent=1``."""
+    """Rewrite a checkpoint the way earlier versions wrote it: v1, every
+    value a repr string, the optimizer's scalars too, under ``indent=1``."""
     save_checkpoint(path, net, state, rng_seed=seed)
     doc = json.loads(path.read_text())
+    assert doc["format"] == FORMAT_V2
+    doc["format"] = FORMAT_V1
 
     def as_strings(entry):
-        entry["values"] = [repr(float(x)) for x in entry["values"]]
+        values = np.frombuffer(base64.b64decode(entry.pop("base64")), dtype="<f8")
+        entry["values"] = [repr(float(x)) for x in values]
 
     for layer in doc["layers"] + doc["heads"]:
         for entry in layer["arrays"].values():
@@ -286,7 +302,7 @@ def test_decimal_strings_and_numbers_decode_to_the_same_bits(values):
     shape = [len(values)]
     for stored in ([repr(v) for v in values], values):
         doc = json.loads(json.dumps({"shape": shape, "values": stored}))
-        np.testing.assert_array_equal(_bits(_decode_array(doc)), expected)
+        np.testing.assert_array_equal(_bits(_decode_array(doc, "values")), expected)
 
 
 def test_values_are_compact_json_numbers(tmp_path):
@@ -300,7 +316,12 @@ def test_values_are_compact_json_numbers(tmp_path):
             assert all(type(v) is float for v in entry["values"])
 
 
-@pytest.mark.parametrize("entry,match", [
+def _b64(*values) -> str:
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
+
+# bad head-bias entries of a v1 file, with what the error says
+_BAD_V1_ENTRIES = [
     ({"shape": [2], "values": ["0.5", "abc"]}, "bad checkpoint array"),
     ({"shape": [2], "values": [0.5, None]}, "finite"),
     ({"shape": [2], "values": [0.5, "nan"]}, "finite"),
@@ -309,11 +330,43 @@ def test_values_are_compact_json_numbers(tmp_path):
     ({"shape": "ab", "values": [0.5, 1.0]}, "does not fit shape"),
     ({"shape": [1], "values": {"0": 0.5}}, "bad checkpoint array"),
     ({"shape": [1]}, "bad checkpoint array"),
+]
+# more of them, each with the format of the file it goes into
+_BAD_TAGGED_ENTRIES = {
+    "v1-base64": (FORMAT_V1, {"shape": [1], "base64": _b64(0.5)},
+                  "bad checkpoint array: 'values'"),
+    "v2-values": (FORMAT_V2, {"shape": [1], "values": [0.5]},
+                  "bad checkpoint array: 'base64'"),
+    "v2-outside-alphabet": (FORMAT_V2, {"shape": [1], "base64": _b64(0.5)[:-2] + "!="},
+                            "bad checkpoint array"),
+    "v2-non-ascii": (FORMAT_V2, {"shape": [1], "base64": "\u00e9" * 12},
+                     "bad checkpoint array"),
+    "v2-list": (FORMAT_V2, {"shape": [1], "base64": [0.5]}, "bad checkpoint array"),
+    "v2-number": (FORMAT_V2, {"shape": [1], "base64": 0.5}, "bad checkpoint array"),
+    "v2-12-bytes": (FORMAT_V2, {"shape": [1], "base64": base64.b64encode(bytes(12)).decode()},
+                    "bad checkpoint array"),
+    "v2-too-few-values": (FORMAT_V2, {"shape": [2], "base64": _b64(0.5)},
+                          "does not fit shape"),
+    "v2-too-many-values": (FORMAT_V2, {"shape": [1], "base64": _b64(0.5, 1.0)},
+                           "does not fit shape"),
+    "v2-nan": (FORMAT_V2, {"shape": [2], "base64": _b64(0.5, float("nan"))}, "finite"),
+    "v2-inf": (FORMAT_V2, {"shape": [1], "base64": _b64(float("-inf"))}, "finite"),
+}
+
+
+@pytest.mark.parametrize("tag,entry,match", [
+    *(pytest.param(FORMAT_V1, entry, match, id=f"entry{i}-{match}")
+      for i, (entry, match) in enumerate(_BAD_V1_ENTRIES)),
+    *(pytest.param(*case, id=name) for name, case in _BAD_TAGGED_ENTRIES.items()),
 ])
-def test_bad_array_entries_raise_data_error(tmp_path, entry, match):
+def test_bad_array_entries_raise_data_error(tmp_path, tag, entry, match):
     path = tmp_path / "net.json"
-    save_checkpoint(path, _trained_net())
+    net = _trained_net()
+    # optimizer state makes the file v2
+    state = AdamState.for_params(net.flat_parameters(), 0.001) if tag == FORMAT_V2 else None
+    save_checkpoint(path, net, state)
     doc = json.loads(path.read_text())
+    assert doc["format"] == tag
     doc["heads"][0]["arrays"]["bias"] = entry
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match):
@@ -323,11 +376,14 @@ def test_bad_array_entries_raise_data_error(tmp_path, entry, match):
 # ------------------------------------------------------------- streamed writer
 
 def _plain(node):
-    """The document with every array as a list, as ``json.dumps`` takes it."""
+    """The document as ``json.dumps`` takes it: each array a list under
+    ``values``, and the base64 string of its little-endian float64 bytes
+    under ``base64``."""
     if isinstance(node, np.ndarray):
         return node.tolist()
     if isinstance(node, dict):
-        return {k: _plain(v) for k, v in node.items()}
+        return {k: base64.b64encode(v.astype("<f8").tobytes()).decode() if k == "base64"
+                else _plain(v) for k, v in node.items()}
     if isinstance(node, list):
         return [_plain(v) for v in node]
     return node
@@ -349,6 +405,10 @@ _EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1]
 @example(spec=_chunk_edge_spec(_CHUNK - 1), seed=1, with_optimizer=True, first=0.5)
 @example(spec=_chunk_edge_spec(_CHUNK), seed=2, with_optimizer=False, first=0.5)
 @example(spec=_chunk_edge_spec(_CHUNK + 1), seed=3, with_optimizer=True, first=0.5)
+@example(spec=_chunk_edge_spec(2 * _CHUNK + 1), seed=4, with_optimizer=True, first=0.5)
+@example(spec=_chunk_edge_spec(2 * _CHUNK + 1), seed=5, with_optimizer=False, first=0.5)
+@example(spec=_chunk_edge_spec(_CHUNK), seed=6, with_optimizer=True, first=float("nan"))
+@example(spec=_chunk_edge_spec(_CHUNK), seed=7, with_optimizer=False, first=float("inf"))
 def test_streamed_file_is_the_json_dump_of_the_document(tmp_path_factory, spec, seed,
                                                         with_optimizer, first):
     net = init_network(spec, seed)
@@ -362,9 +422,15 @@ def test_streamed_file_is_the_json_dump_of_the_document(tmp_path_factory, spec, 
     path = directory / "net.json"
     save_checkpoint(path, net, state, rng_seed=seed)
 
-    expected = json.dumps(_plain(_document(net, state, seed)), separators=(",", ":"))
+    doc = _document(net, state, seed)
+    assert doc["format"] == (FORMAT_V2 if with_optimizer else FORMAT_V1)
+    expected = json.dumps(_plain(doc), separators=(",", ":"))
     assert path.read_bytes() == expected.encode()
     assert [p.name for p in directory.iterdir()] == ["net.json"]
+    # a NaN or an infinity is written as it is, and the loader refuses it
+    if not np.isfinite(first):
+        with pytest.raises(DataError, match="finite"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
@@ -372,27 +438,32 @@ def test_streamed_file_is_the_json_dump_of_the_document(tmp_path_factory, spec, 
 @pytest.mark.parametrize("previous", [None, b"previous bytes"])
 def test_a_failed_save_keeps_the_previous_file_and_leaves_no_temporary(
         tmp_path, monkeypatch, failure, previous):
-    path = tmp_path / "net.json"
-    if previous is not None:
-        path.write_bytes(previous)
-    encoded = []
-    real_encode = checkpoint._encode_chunk
+    net = _trained_net()
+    state = AdamState.for_params(net.flat_parameters(), 0.001)
+    # a v1 save encodes JSON numbers, a v2 save (with optimizer state) base64
+    for encoder, optimizer in (("_encode_chunk", None), ("_encode_base64_chunk", state)):
+        path = tmp_path / "net.json"
+        if previous is not None:
+            path.write_bytes(previous)
+        encoded = []
+        real_encode = getattr(checkpoint, encoder)
 
-    def encode_once(values):
-        if encoded:
-            raise failure
-        encoded.append(values.size)
-        return real_encode(values)
+        def encode_once(values):
+            if encoded:
+                raise failure
+            encoded.append(values.size)
+            return real_encode(values)
 
-    monkeypatch.setattr(checkpoint, "_encode_chunk", encode_once)
-    with pytest.raises(type(failure)):
-        save_checkpoint(path, _trained_net())
-    assert encoded  # the failure came after a chunk was written
-    if previous is None:
-        assert list(tmp_path.iterdir()) == []
-    else:
-        assert list(tmp_path.iterdir()) == [path]
-        assert path.read_bytes() == previous
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, encoder, encode_once)
+            with pytest.raises(type(failure)):
+                save_checkpoint(path, net, optimizer)
+        assert encoded  # the failure came after a chunk was written
+        if previous is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == previous
 
 
 def test_saving_a_discriminator_with_moments_stays_within_a_few_chunks(tmp_path):
@@ -418,4 +489,6 @@ def test_saving_a_discriminator_with_moments_stays_within_a_few_chunks(tmp_path)
     # a whole-document save holds every value as a Python float and the
     # encoded text twice: 22 MB here
     assert peak - before < 2_000_000
-    assert (tmp_path / "d.json").stat().st_size > 5_000_000
+    # a v2 file: 3 x 97808 float64 values are 3129864 bytes of base64,
+    # and the spec, keys and optimizer scalars 931 more
+    assert (tmp_path / "d.json").stat().st_size == 3_130_795

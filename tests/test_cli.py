@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import csv
 import hashlib
@@ -22,7 +23,8 @@ from stgan_nd.errors import NumericError, SpecError
 from stgan_nd.evaluate import pairwise_set_distance
 from stgan_nd.experiments import distance_tables, prepare_data
 from stgan_nd.gan import GENERATOR_HIDDEN, GanConfig, generate_samples
-from stgan_nd.nn import INFER_BLOCK_ROWS, load_checkpoint
+from stgan_nd.nn import INFER_BLOCK_ROWS, AdamState, load_checkpoint, save_checkpoint
+from stgan_nd.nn.checkpoint import FORMAT_V1, FORMAT_V2
 from stgan_nd.rng import substream
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
@@ -780,8 +782,13 @@ def test_final_generator_holds_no_moments_but_periodic_files_do(tmp_path):
     final = json.loads((out / "generator.json").read_text())
     assert final["optimizer"] is None
     for name in ("generator", "discriminator"):
+        # model files stay v1; periodic files carry their moments as v2
+        assert json.loads((out / f"{name}.json").read_text())["format"] == FORMAT_V1
         periodic = json.loads((out / "checkpoints" / f"{name}_e0050.json").read_text())
-        assert len(periodic["optimizer"]["first_moment"][0]["values"]) > 0
+        assert periodic["format"] == FORMAT_V2
+        moment = periodic["optimizer"]["first_moment"][0]
+        values = np.frombuffer(base64.b64decode(moment["base64"], validate=True), dtype="<f8")
+        assert values.size == np.prod(moment["shape"]) > 0 and values.any()
         assert periodic["optimizer"]["step_count"] > 0
     # the network itself is the one of the last periodic file
     last, _, _ = load_checkpoint(out / "checkpoints" / "generator_e0050.json")
@@ -870,21 +877,64 @@ def _periodic_optimizer_with_a_bad_beta1(doc) -> None:
                         "second_moment": moment}
 
 
-# corruptions of a generator checkpoint, with what the error names
+def _resave_as_v2(model) -> None:
+    """Save the model's generator again with optimizer state: a v2 file."""
+    generator, _, seed = load_checkpoint(model / "generator.json")
+    state = AdamState.for_params(generator.flat_parameters(), 0.001)
+    state.first_moment[:] = 0.25
+    save_checkpoint(model / "generator.json", generator, state, rng_seed=seed)
+
+
+def _weights_entry(doc) -> dict:
+    return doc["layers"][0]["arrays"]["weight"]
+
+
+def _edit_v2_weights(edit):
+    """A corruption that stores ``edit`` of the first weights of a v2 file."""
+    def corrupt(doc):
+        weights = np.frombuffer(base64.b64decode(_weights_entry(doc)["base64"]), dtype="<f8")
+        _weights_entry(doc)["base64"] = base64.b64encode(edit(weights).tobytes()).decode()
+    return corrupt
+
+
+def _values_under_v2(doc) -> None:
+    entry = _weights_entry(doc)
+    entry["values"] = np.frombuffer(base64.b64decode(entry.pop("base64")), "<f8").tolist()
+
+
+def _moment_of_another_size(doc) -> None:
+    doc["optimizer"]["second_moment"] = [{"shape": [5],
+                                          "base64": base64.b64encode(bytes(8 * 5)).decode()}]
+
+
+# corruptions of a generator checkpoint (v1, or v2 re-saved with optimizer
+# state), with what the error names
 _BAD_GENERATORS = {
-    "non-numeric": (lambda doc: _first_weights(doc).__setitem__(1, "0.5x"), "checkpoint array"),
-    "short": (lambda doc: _first_weights(doc).pop(), "checkpoint array"),
-    "no-layers": (lambda doc: doc.pop("layers"), "'layers'"),
-    "bad-beta1": (_periodic_optimizer_with_a_bad_beta1, "could not convert string"),
+    "non-numeric": (False, lambda doc: _first_weights(doc).__setitem__(1, "0.5x"),
+                    "checkpoint array"),
+    "short": (False, lambda doc: _first_weights(doc).pop(), "checkpoint array"),
+    "no-layers": (False, lambda doc: doc.pop("layers"), "'layers'"),
+    "bad-beta1": (False, _periodic_optimizer_with_a_bad_beta1, "could not convert string"),
+    "v2-outside-alphabet": (True, lambda doc: _weights_entry(doc).update(
+        base64="*" + _weights_entry(doc)["base64"][1:]), "bad checkpoint array"),
+    "v2-short": (True, _edit_v2_weights(lambda w: w[:-1]), "does not fit shape"),
+    "v2-nan": (True, _edit_v2_weights(lambda w: np.r_[np.nan, w[1:]]), "finite"),
+    "v2-values": (True, _values_under_v2, "'base64'"),
+    "v2-tagged-v1": (True, lambda doc: doc.update(format=FORMAT_V1), "'values'"),
+    "v2-moment-size": (True, _moment_of_another_size, "optimizer moment has shape (5,)"),
 }
 
 
-@pytest.mark.parametrize("corrupt,message", list(_BAD_GENERATORS.values()),
+@pytest.mark.parametrize("v2,corrupt,message", list(_BAD_GENERATORS.values()),
                          ids=list(_BAD_GENERATORS))
-def test_checkpoint_with_bad_values_exits_one(small_gan, tmp_path, capsys, corrupt, message):
+def test_checkpoint_with_bad_values_exits_one(small_gan, tmp_path, capsys, v2, corrupt,
+                                              message):
     model = tmp_path / "model"
     shutil.copytree(small_gan, model)
+    if v2:
+        _resave_as_v2(model)
     doc = json.loads((model / "generator.json").read_text())
+    assert doc["format"] == (FORMAT_V2 if v2 else FORMAT_V1)
     corrupt(doc)
     (model / "generator.json").write_text(json.dumps(doc))
     for args in (["generate", "--model", model, "--class", "1", "--out", tmp_path / "s.csv"],
@@ -895,6 +945,17 @@ def test_checkpoint_with_bad_values_exits_one(small_gan, tmp_path, capsys, corru
         assert "generator.json" in err
     assert not (tmp_path / "s.csv").exists()
     assert not (tmp_path / "d").exists()
+
+
+def test_generate_from_a_v2_generator_writes_the_bytes_of_the_v1_one(small_gan, tmp_path):
+    model = tmp_path / "model"
+    shutil.copytree(small_gan, model)
+    _resave_as_v2(model)
+    assert json.loads((model / "generator.json").read_text())["format"] == FORMAT_V2
+    for source, out in ((small_gan, tmp_path / "v1.csv"), (model, tmp_path / "v2.csv")):
+        assert run_cli("generate", "--model", source, "--class", "1", "-n", "40",
+                       "--seed", "5", "--out", out) == 0
+    assert (tmp_path / "v2.csv").read_bytes() == (tmp_path / "v1.csv").read_bytes()
 
 
 def test_standardizer_narrower_than_the_generator_exits_one(small_gan, tmp_path, capsys):
