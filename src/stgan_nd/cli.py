@@ -1,28 +1,22 @@
 """Command-line entry points for the experiment matrix.
 
 Subcommands: synth, train, distances, evaluate, generate. train and
-evaluate write a manifest.json of their run configuration, from which
-``train --manifest`` replays a training run bit-identically. distances
-writes a manifest.json of its data configuration and of the generator and
-row count it used, as a record only; synth and generate write none. Each
-command parses its arguments, loads and validates every input, computes,
-and only then creates its output and writes, so a validation error leaves
-the output as it was. Exit codes: 0 success, 1 validation problem, 2
-numeric divergence.
+evaluate write a manifest.json of their run configuration, which
+``train --manifest`` replays bit-identically; distances writes one of its
+data, generator and row count, as a record only; synth and generate
+write none. Each command parses its arguments, loads and validates every
+input, computes, and only then creates its output and writes, so a
+validation error leaves the output as it was. Exit codes: 0 success, 1
+validation problem, 2 numeric divergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import json
 import os
-import shutil
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 
 def _load_numpy_on_one_thread() -> None:
@@ -55,29 +49,17 @@ _load_numpy_on_one_thread()
 # distances, not in synth or generate. Without a bytecode cache every
 # module imported is compiled again on every run.
 from . import blas  # noqa: E402
-from .data import Standardizer, load_dataset, save_dataset  # noqa: E402
+from .data import load_dataset, save_dataset  # noqa: E402
 from .errors import DataError, NumericError, ShapeError, SpecError, StateError  # noqa: E402
-from .gan import (  # noqa: E402
-    VARIANTS,
-    BaselineConfig,
-    GanBundle,
-    GanConfig,
-    generate_samples,
-    write_loss_csv,
-)
-from .nn import INFER_BLOCK_ROWS, Network, load_checkpoint, save_checkpoint  # noqa: E402
+from .gan import VARIANTS, BaselineConfig, GanConfig, generate_samples  # noqa: E402
+from .nn import INFER_BLOCK_ROWS  # noqa: E402
 from .rng import substream  # noqa: E402
+from .rundir import (  # noqa: E402
+    COMMAND, RunDir, clear_evaluation, read_json, write_evaluation, write_manifest,
+)
 from .synth import SynthSpec, make_synthetic_dataset  # noqa: E402
 
-if TYPE_CHECKING:
-    from .experiments import PreparedData, TrainedModel
-
 ENV_SEED = "STGAN_ND_SEED"
-# manifest key of the run environment; replay ignores it
-ENVIRONMENT = "environment"
-# manifest key of the command that wrote it, where that is not train or
-# evaluate (whose manifests carry no such key); train replays no other
-COMMAND = "command"
 # the variants trained from one adversarial run; evaluate runs them as one job
 GAN_VARIANTS = ("test_2", "test_3")
 
@@ -170,40 +152,6 @@ class RunConfig(DataConfig):
         except TypeError as exc:
             raise DataError(f"bad training or dataset config: {exc}") from None
         return cls(**values)
-
-
-def _read_json(path: Path, what: str):
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
-
-
-def _write_manifest(config: DataConfig, out: Path, variants: list[str] | None = None,
-                    command: str | None = None, **inputs) -> None:
-    """``config``, the data or run configuration the command read, and the
-    run environment. An evaluate run gives the ``variants`` it evaluated,
-    which are written in place of ``variant``. Another command gives its
-    name and the ``inputs`` it read besides ``config``."""
-    items = asdict(config).items()
-    if variants is not None:
-        items = [("variants", variants) if k == "variant" else (k, v) for k, v in items]
-    head = {} if command is None else {COMMAND: command}
-    payload = {**head, **dict(items), **inputs, ENVIRONMENT: blas.environment()}
-    (out / "manifest.json").write_text(json.dumps(payload, indent=1))
-
-
-def _same_config(manifest: Path, config: RunConfig) -> bool:
-    """Whether ``manifest`` was written for exactly ``config``."""
-    try:
-        stored = json.loads(manifest.read_text())
-    except (OSError, ValueError):
-        return False
-    if isinstance(stored, dict):
-        stored.pop(ENVIRONMENT, None)
-    return stored == json.loads(json.dumps(asdict(config)))
 
 
 # argparse ``type=`` callables; argparse reports their ArgumentTypeError as
@@ -355,7 +303,7 @@ def _run_config_from_args(args) -> RunConfig:
     )
 
 
-def _prepare(config: DataConfig) -> PreparedData:
+def _prepare(config: DataConfig):
     from .experiments import prepare_data
 
     if config.dataset is not None:
@@ -363,107 +311,6 @@ def _prepare(config: DataConfig) -> PreparedData:
     else:
         ds = make_synthetic_dataset(config.synth)
     return prepare_data(ds, config.novel_classes, config.seed)
-
-
-def _preprocessing(prep: PreparedData) -> dict:
-    return {
-        "standardizer": prep.standardizer.to_dict(),
-        "class_map": {str(k): v for k, v in prep.class_map.items()},
-        "n_features": prep.n_features,
-        "n_classes": prep.n_classes,
-    }
-
-
-def _load_generator(model: Path, prep: PreparedData | None = None
-                    ) -> tuple[Network, Standardizer]:
-    """The generator of the run in ``model`` and the standardizer it was
-    trained against, checked against each other and, given ``prep``,
-    against the data ``prep`` was prepared from."""
-    gen_path = model / "generator.json"
-    if not gen_path.exists():
-        raise DataError(f"no generator checkpoint in {model}")
-    payload = _read_json(model / "preprocessing.json", "preprocessing file")
-    try:
-        standardizer = Standardizer.from_dict(payload["standardizer"])
-        n_features, n_classes = payload["n_features"], payload["n_classes"]
-        class_map = payload["class_map"]
-        labels = set(class_map.values())
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad preprocessing file in {model}: {exc!r}") from None
-    if prep is not None:
-        expected = _preprocessing(prep)
-        for key in ("n_features", "class_map"):
-            if payload[key] != expected[key]:
-                raise DataError(f"{model} was trained on other data: its {key} is "
-                                f"{payload[key]}, the data's is {expected[key]}")
-    generator, _, _ = load_checkpoint(gen_path)
-    # a generator maps (latent, class target) inputs to one head of features
-    widths = (list(generator.spec.input_widths[1:]), [w for w, _ in generator.spec.output_heads])
-    if (widths != ([n_classes], [n_features]) or len(class_map) != n_classes
-            or labels != set(range(generator.spec.input_widths[-1]))
-            or not standardizer.mean.size == standardizer.std.size == n_features):
-        raise DataError(f"the generator in {model}, of class and feature widths {widths}, does "
-                        f"not fit its preprocessing file: {n_classes!r} classes, class map "
-                        f"{class_map}, {n_features!r} features, standardizer widths "
-                        f"{standardizer.mean.size} and {standardizer.std.size}")
-    return generator, standardizer
-
-
-def _train_run(config: RunConfig, out: Path, prep: PreparedData,
-               gan: tuple[GanBundle, Path] | None = None) -> TrainedModel:
-    """Train ``config.variant`` on ``prep`` and write its run directory.
-
-    ``gan`` is the bundle and run directory of a GAN variant trained in
-    this process for the same configuration: a GAN variant then starts
-    from that bundle and copies its GAN files (generator, losses,
-    periodic checkpoints) byte for byte instead of training and writing
-    the same GAN again.
-    """
-    from .experiments import train_variant
-
-    out.mkdir(parents=True, exist_ok=True)
-    _remove_run_files(out)
-    _write_manifest(config, out)
-    bundle, gan_dir = gan if gan is not None else (None, None)
-    model = train_variant(
-        prep, config.variant, config.gan, config.baseline,
-        checkpoint_dir=out / "checkpoints", bundle=bundle,
-    )
-    (out / "preprocessing.json").write_text(json.dumps(_preprocessing(prep), indent=1))
-    if model.bundle is not None:
-        if gan_dir is None:
-            # the network only, as for the discriminator: the Adam moments
-            # stay in the periodic checkpoints, and no command reads them
-            save_checkpoint(out / "generator.json", model.bundle.generator,
-                            rng_seed=config.seed)
-            write_loss_csv(model.bundle.loss_history, out / "losses.csv")
-        else:
-            _copy_gan_files(model.bundle, gan_dir, out)
-        if config.variant == "test_3":
-            write_loss_csv(model.history, out / "retrain_losses.csv")
-    else:
-        write_loss_csv(model.history, out / "losses.csv")
-    save_checkpoint(out / "discriminator.json", model.network, rng_seed=config.seed)
-    print(f"{config.variant}: trained, outputs in {out}")
-    return model
-
-
-def _remove_run_files(out: Path) -> None:
-    """Delete the files an earlier run wrote in ``out`` that this run may
-    not overwrite, or may fail before overwriting: its model,
-    preprocessing, generator, losses, ROC and periodic checkpoints."""
-    names = ("discriminator.json", "preprocessing.json", "generator.json",
-             "losses.csv", "retrain_losses.csv", "roc.csv")
-    for path in [out / name for name in names] + list(out.glob("checkpoints/*_e*.json")):
-        path.unlink(missing_ok=True)
-
-
-def _copy_gan_files(bundle: GanBundle, source: Path, out: Path) -> None:
-    for name in ("generator.json", "losses.csv"):
-        shutil.copyfile(source / name, out / name)
-    (out / "checkpoints").mkdir(exist_ok=True)
-    for path in bundle.checkpoints:
-        shutil.copyfile(path, out / "checkpoints" / path.name)
 
 
 def cmd_synth(args) -> int:
@@ -481,7 +328,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        payload = _read_json(Path(args.manifest), "manifest")
+        payload = read_json(Path(args.manifest), "manifest")
         command = payload.get(COMMAND, "train") if isinstance(payload, dict) else "train"
         if command != "train":
             raise DataError(f"{args.manifest} is the manifest of a {command!r} run; "
@@ -489,7 +336,7 @@ def cmd_train(args) -> int:
         config = RunConfig.from_manifest(payload)
     else:
         config = _run_config_from_args(args)
-    _train_run(config, Path(args.out), _prepare(config))
+    RunDir(args.out).train(config, _prepare(config))
     return 0
 
 
@@ -497,36 +344,31 @@ def cmd_distances(args) -> int:
     from .experiments import distance_tables
 
     config = _data_config_from_args(args)
+    model = RunDir(args.model) if args.model else None
+    if model is not None and not model.path.is_dir():
+        raise DataError(f"no model directory {model.path}")
     prep = _prepare(config)
-    generator = standardizer = digest = None
-    model = Path(args.model) if args.model else None
-    if model is not None and (model / "generator.json").exists():
-        generator, standardizer = _load_generator(model, prep)
-        digest = hashlib.sha256((model / "generator.json").read_bytes()).hexdigest()
-    else:
-        missing = "no --model given" if model is None else f"{model / 'generator.json'} not found"
+    digest = model and model.generator_sha256()
+    generator, standardizer = model.load_generator(prep) if digest else (None, None)
+    if digest is None:
+        missing = "no --model given" if model is None else f"no generator in {model.path}"
         print(f"warning: {missing}; GAN column omitted", file=sys.stderr)
     report = distance_tables(prep, generator, config.seed, args.n_generated,
                              standardizer=standardizer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "distances.csv")
-    _write_manifest(config, out, command="distances",
-                    model=None if generator is None else str(model.resolve()),
-                    generator_sha256=digest, n_generated=args.n_generated)
+    write_manifest(out, config, command="distances",
+                   model=None if generator is None else str(model.path.resolve()),
+                   generator_sha256=digest, n_generated=args.n_generated)
     print(f"distance table written to {out / 'distances.csv'}")
     return 0
 
 
 def _evaluate_one(payload) -> list[dict]:
-    """Train or reuse, then evaluate, the variants of one job, in order.
-
-    A variant's trained model in ``<out>/<variant>`` is reused only if it
-    was trained for this very configuration. When ``test_2`` is trained in
-    the job, ``test_3`` retrains from its GAN instead of training the same
-    GAN again.
-    """
-    from .evaluate import write_roc_csv
+    """Train or reuse (``RunDir.matches``), then evaluate, the variants of
+    one job, in order. When ``test_2`` is trained in the job, ``test_3``
+    retrains from its GAN instead of training the same GAN again."""
     from .experiments import evaluate_model
 
     base, variants, out_root, prep = payload
@@ -534,23 +376,19 @@ def _evaluate_one(payload) -> list[dict]:
     results = []
     for variant in variants:
         config = replace(base, variant=variant)
-        out = Path(out_root) / variant
-        model_path = out / "discriminator.json"
-        if model_path.exists() and _same_config(out / "manifest.json", config):
-            net, _, _ = load_checkpoint(model_path)
+        run = RunDir(Path(out_root) / variant)
+        if run.matches(config, prep):
+            net = run.load_discriminator()
         else:
-            model = _train_run(config, out, prep, gan)
+            model = run.train(config, prep, gan)
             net = model.network
             if variant == "test_2":
-                gan = (model.bundle, out)
+                gan = (model.bundle, run)
         evaluation = evaluate_model(net, prep, config.target_gca)
-        write_roc_csv(evaluation.roc_points, out / "roc.csv")
-        results.append({
-            "variant": variant,
-            "auc": evaluation.auc,
-            "rows": [asdict(r) for r in evaluation.rows],
-            "targets": evaluation.targets,
-        })
+        run.write_roc(evaluation.roc_points)
+        results.append({"variant": variant, "auc": evaluation.auc,
+                        "rows": [asdict(r) for r in evaluation.rows],
+                        "targets": evaluation.targets})
     return results
 
 
@@ -571,6 +409,7 @@ def cmd_evaluate(args) -> int:
     prep = _prepare(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    clear_evaluation(out)
     jobs = [(config, job, str(out), prep) for job in _evaluation_jobs(args.variants)]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: multiprocessing is a start-up cost every other command skips
@@ -582,39 +421,15 @@ def cmd_evaluate(args) -> int:
         done = [r for job in jobs for r in _evaluate_one(job)]
     by_variant = {result["variant"]: result for result in done}
     results = [by_variant[v] for v in args.variants]
-
-    _write_accuracy_csv(results, config.target_gca, out / "accuracy.csv")
-    (out / "report.json").write_text(json.dumps(results, indent=1))
-    _write_manifest(config, out, args.variants)
+    write_evaluation(out, config, args.variants, results)
     for result in results:
         print(f"{result['variant']}: AUC={result['auc']:.3f}")
     print(f"evaluation written to {out}")
     return 0
 
 
-def _write_accuracy_csv(results, targets, path) -> None:
-    # mirrors the published table layout: one row per variant, one column
-    # group per threshold setting (tau=0 first, then each tuned target)
-    header = ["variant"]
-    for i, tag in enumerate(["tau0"] + [f"p{target:g}" for target in targets]):
-        header += [f"{tag}_class", f"{tag}_others", f"{tag}_mean_balanced",
-                   f"{tag}_mean_weighted"] + [f"{tag}_tau"] * (i > 0)
-    header.append("auc")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for result in results:
-            cells = [result["variant"]]
-            for i, row in enumerate(result["rows"]):
-                cells += [f"{100.0 * row[key]:.1f}"
-                          for key in ("gca", "nda", "mean_balanced", "mean_weighted")]
-                cells += [repr(row["tau"])] * (i > 0)
-            cells.append(repr(result["auc"]))
-            writer.writerow(cells)
-
-
 def cmd_generate(args) -> int:
-    generator, standardizer = _load_generator(Path(args.model))
+    generator, standardizer = RunDir(args.model).load_generator()
     target = args.class_index if args.target is None else args.target
     samples = generate_samples(generator, target, args.count, substream(args.seed, "generate"))
     out = Path(args.out)

@@ -305,11 +305,3 @@ def roc_auc(novelty_scores, is_novel) -> tuple[list[tuple[float, float, float]],
 def novelty_scores(class_probs: np.ndarray) -> np.ndarray:
     """Score in [0, 1): one minus the maximum class probability."""
     return 1.0 - np.asarray(class_probs, dtype=float).max(axis=1)
-
-
-def write_roc_csv(points, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, thr in points:
-            writer.writerow([repr(float(fpr)), repr(float(tpr)), repr(float(thr))])

@@ -8,9 +8,7 @@ whose peak value is drawn fresh from a uniform range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +151,6 @@ class GanBundle:
     adam_g: AdamState
     adam_d: AdamState
     loss_history: list[EpochLosses] = field(default_factory=list)
-    checkpoints: list[Path] = field(default_factory=list)  # periodic files written
 
 
 def build_generator(n_features: int, n_classes: int, latent_size: int, seed: int) -> Network:
@@ -326,7 +323,6 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
         raise SpecError(f"training set smaller than half a batch ({half} rows)")
 
     if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     with _single_thread_blas():
@@ -355,7 +351,6 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
                                         ("discriminator", discriminator, bundle.adam_d)):
                     path = checkpoint_dir / f"{name}_e{epoch:04d}.json"
                     save_checkpoint(path, net, adam, rng_seed=config.seed)
-                    bundle.checkpoints.append(path)
     return bundle
 
 
@@ -487,13 +482,3 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
                 if wait >= config.patience:
                     break
     return best, history
-
-
-def write_loss_csv(history: list[EpochLosses] | list[SupervisedEpoch], path) -> None:
-    """One row per epoch record under a header of its field names: the
-    epoch, then the ``repr`` of each loss."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(type(history[0])._fields)
-        for epoch, *losses in history:
-            writer.writerow([epoch, *map(repr, losses)])

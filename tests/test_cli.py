@@ -26,6 +26,7 @@ from stgan_nd.gan import GENERATOR_HIDDEN, GanConfig, generate_samples
 from stgan_nd.nn import INFER_BLOCK_ROWS, AdamState, load_checkpoint, save_checkpoint
 from stgan_nd.nn.checkpoint import FORMAT_V1, FORMAT_V2
 from stgan_nd.rng import substream
+from stgan_nd.rundir import ENVIRONMENT, RunDir, clear_evaluation
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
 
@@ -174,7 +175,7 @@ def test_distances_with_and_without_model(tmp_path, capsys):
 
 
 DISTANCES_KEYS = ["command", "dataset", "channels", "synth", "novel_classes", "seed",
-                  "model", "generator_sha256", "n_generated", cli.ENVIRONMENT]
+                  "model", "generator_sha256", "n_generated", ENVIRONMENT]
 
 
 def test_distances_manifest_records_its_command_model_and_row_count(tmp_path, capsys):
@@ -257,11 +258,11 @@ def test_train_and_evaluate_manifests_hold_their_config_and_environment_only(tmp
                         ["variants" if k == "variant" else k for k in names])):
         text = path.read_text()
         manifest = json.loads(text)
-        assert list(manifest) == keys + [cli.ENVIRONMENT]
+        assert list(manifest) == keys + [ENVIRONMENT]
         assert text == json.dumps(manifest, indent=1)
     replay = json.loads((out / "baseline_a" / "manifest.json").read_text())
     config = cli.RunConfig.from_manifest(replay)
-    assert cli._same_config(out / "baseline_a" / "manifest.json", config)
+    assert RunDir(out / "baseline_a").matches(config, _small_prep(7))
 
 
 def test_validation_errors_exit_one(tmp_path):
@@ -386,9 +387,9 @@ def test_evaluate_reuses_a_model_whose_manifest_has_the_seed_last(tmp_path):
     assert run_cli(*args) == 0
     path = out / "baseline_a" / "manifest.json"
     manifest = json.loads(path.read_text())
-    earlier = {k: v for k, v in manifest.items() if k not in ("seed", cli.ENVIRONMENT)}
-    earlier = {**earlier, "seed": manifest["seed"], cli.ENVIRONMENT: manifest[cli.ENVIRONMENT]}
-    assert list(earlier)[-2:] == ["seed", cli.ENVIRONMENT] and list(manifest)[4] == "seed"
+    earlier = {k: v for k, v in manifest.items() if k not in ("seed", ENVIRONMENT)}
+    earlier = {**earlier, "seed": manifest["seed"], ENVIRONMENT: manifest[ENVIRONMENT]}
+    assert list(earlier)[-2:] == ["seed", ENVIRONMENT] and list(manifest)[4] == "seed"
     path.write_text(json.dumps(earlier, indent=1))
     stamp = (out / "baseline_a" / "discriminator.json").stat().st_mtime_ns
     assert run_cli(*args) == 0
@@ -716,6 +717,57 @@ def test_evaluate_retrains_after_a_failed_training(tmp_path, monkeypatch):
     assert auc[0] == auc[1]
 
 
+def test_evaluate_retrains_on_data_rewritten_at_the_same_path(tmp_path):
+    # the configuration names the dataset by its path, so only the stored
+    # preprocessing tells the rewritten data from the first
+    data = tmp_path / "data.csv"
+    common = ["--dataset", data, "--novel-classes", "4", "--variants", "baseline_a", *FAST]
+    out = tmp_path / "eval"
+    assert run_cli("synth", "--spec", "5,24,6", "--seed", "0", "--out", data) == 0
+    assert run_cli("evaluate", *common, "--out", out) == 0
+    first = (out / "baseline_a" / "discriminator.json").read_bytes()
+    assert run_cli("synth", "--spec", "5,24,6", "--seed", "1", "--out", data) == 0
+    assert run_cli("evaluate", *common, "--out", out) == 0
+    fresh = tmp_path / "fresh"
+    assert run_cli("evaluate", *common, "--out", fresh) == 0
+
+    assert (out / "baseline_a" / "discriminator.json").read_bytes() != first
+    for name in ("report.json", "accuracy.csv", "baseline_a/discriminator.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_a_failed_evaluate_leaves_no_report_of_an_earlier_one(tmp_path, monkeypatch):
+    import stgan_nd.experiments as experiments
+
+    common = [*SMALL_DATA, "--seed", "7", "--variants", "baseline_a"]
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *common, "--epochs", "3", "--out", out) == 0
+
+    def diverge(*args, **kwargs):
+        raise NumericError("loss went NaN")
+
+    monkeypatch.setattr(experiments, "train_variant", diverge)
+    assert run_cli("evaluate", *common, "--epochs", "4", "--out", out) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["baseline_a"]
+    assert not (out / "baseline_a" / "discriminator.json").exists()
+
+
+def test_clear_deletes_every_file_an_evaluate_writes(tmp_path):
+    # 50 epochs is the checkpoint cadence, so periodic checkpoints are written
+    # and copied too; a new output missing from the tables fails here
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *GAN_SMALL, "--epochs", "50",
+                   "--variants", "test_2,test_3", "--out", out) == 0
+    written = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
+    assert Path("test_3/checkpoints/generator_e0050.json") in written
+    assert Path("test_3/retrain_losses.csv") in written
+    for variant in ("test_2", "test_3"):
+        RunDir(out / variant).clear()
+        assert [p for p in (out / variant).rglob("*") if p.is_file()] == [], variant
+    clear_evaluation(out)
+    assert sorted(p.name for p in out.iterdir()) == ["test_2", "test_3"]
+
+
 def test_negative_synth_seed_exits_one(tmp_path, capsys):
     code, err = _error_exit(capsys, "synth", "--out", tmp_path / "d.csv", "--seed", "-1")
     assert code == 1 and err.startswith("error: ") and "seed" in err
@@ -748,6 +800,23 @@ def test_distances_with_a_model_of_other_data_exits_one(tmp_path, capsys):
     assert code == 1 and err.startswith("error: ") and "preprocessing" in err
 
 
+def test_distances_with_a_missing_model_directory_exits_one_before_writing(tmp_path, capsys):
+    out = tmp_path / "d"
+    code, err = _error_exit(capsys, "distances", *SMALL_DATA, "--seed", "7",
+                            "--model", tmp_path / "missing", "--out", out)
+    assert code == 1 and err.startswith("error: ") and "missing" in err
+    assert not out.exists()
+    # a directory without a generator leaves the GAN column empty, as documented
+    model = tmp_path / "model"
+    assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", *FAST, "--out", model) == 0
+    code, err = _error_exit(capsys, "distances", *SMALL_DATA, "--seed", "7",
+                            "--model", model, "--out", out)
+    assert code == 0 and "GAN column omitted" in err
+    with open(out / "distances.csv") as handle:
+        assert all(row[3] == "" for row in list(csv.reader(handle))[1:])
+    assert json.loads((out / "manifest.json").read_text())["model"] is None
+
+
 @pytest.fixture(scope="module")
 def small_gan(tmp_path_factory):
     """A 3-epoch test_2 run on SMALL_DATA, trained with --seed 7."""
@@ -764,7 +833,7 @@ def test_generate_writes_the_bytes_of_csv_writer(small_gan, tmp_path):
                    "-n", "50", "--seed", "3", "--out", out) == 0
 
     generator, _, _ = load_checkpoint(small_gan / "generator.json")
-    _, standardizer = cli._load_generator(small_gan)
+    _, standardizer = RunDir(small_gan).load_generator()
     samples = standardizer.inverse(
         generate_samples(generator, target, 50, substream(3, "generate")))
     reference = io.StringIO(newline="")
@@ -814,7 +883,7 @@ def test_distances_inverts_with_the_models_standardizer(small_gan, tmp_path):
 
     prep = _small_prep(8)
     generator, _, _ = load_checkpoint(small_gan / "generator.json")
-    _, model_standardizer = cli._load_generator(small_gan)
+    _, model_standardizer = RunDir(small_gan).load_generator()
     # another seed splits the data otherwise, so its standardizer differs
     assert not np.array_equal(model_standardizer.mean, prep.standardizer.mean)
     rng = substream(8, "distance")

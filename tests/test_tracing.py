@@ -48,3 +48,32 @@ def test_traced_train_and_generate_cover_every_wrapped_method(tmp_path):
     modes = {(attrs or {}).get("mode") for _, _, name, _, _, attrs in spans
              if name == "nn.network.Network.forward"}
     assert modes == {"train", "infer"}
+
+
+def _job_children(spans: list) -> list[tuple[str, dict]]:
+    """The name and attributes of each span directly inside the one job span."""
+    [(job, attrs)] = [(sid, attrs) for sid, _, name, _, _, attrs in spans
+                      if name == "cli._evaluate_one"]
+    assert attrs == {"variant": ["baseline_a"]}
+    return [(name, attrs or {}) for _, parent, name, _, _, attrs in spans if parent == job]
+
+
+def test_traced_evaluate_records_its_job_training_and_checkpoint_spans(tmp_path):
+    # cli.worker_busy_share reads the job spans, and nn.checkpoint.* the save
+    # and load spans; the second run reuses the model the first one trained
+    args = ["evaluate", "--synth-spec", "5,24,6", "--synth-seed", "3", "--novel-classes", "4",
+            "--variants", "baseline_a", "--epochs", "2", "--seed", "7", "--out", tmp_path / "ev"]
+    children = {}
+    for run in ("train", "reuse"):
+        (tmp_path / run).mkdir()
+        _traced(tmp_path / run, *args)
+        [path] = (tmp_path / run).glob("spans.*.json")
+        children[run] = _job_children(json.loads(path.read_text())["spans"])
+    names = {run: [name for name, _ in inside] for run, inside in children.items()}
+    assert {"experiments.train_variant", "nn.checkpoint.save_checkpoint"} <= set(names["train"])
+    assert "nn.checkpoint.load_checkpoint" not in names["train"]
+    assert "nn.checkpoint.load_checkpoint" in names["reuse"]
+    assert "experiments.train_variant" not in names["reuse"]
+    for name, attrs in children["train"] + children["reuse"]:
+        if name.startswith("nn.checkpoint."):
+            assert attrs["bytes"] > 0
