@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError, StganError
-from . import layers as L
 from .adam import AdamState
 from .network import Network, init_network
 from .specs import NetworkSpec
@@ -144,16 +143,7 @@ def _decode_moment(entries: list, key: str, net: Network) -> np.ndarray:
 
 
 def _layer_arrays(layer) -> dict:
-    if isinstance(layer, L.Dense):
-        return {"weight": layer.weight, "bias": layer.bias}
-    if isinstance(layer, L.BatchNorm):
-        return {
-            "gamma": layer.gamma,
-            "beta": layer.beta,
-            "running_mean": layer.running_mean,
-            "running_var": layer.running_var,
-        }
-    return {}
+    return {name: getattr(layer, name) for name in layer.param_names + layer.state_names}
 
 
 def _restore_layer(layer, arrays: dict, key: str) -> None:
@@ -167,10 +157,7 @@ def _restore_layer(layer, arrays: dict, key: str) -> None:
                 f"checkpoint array {name!r} has shape {value.shape}, "
                 f"expected {current[name].shape}"
             )
-        if name in layer.param_names:
-            current[name][...] = value  # keep the flat-buffer aliasing intact
-        else:
-            setattr(layer, name, value)
+        current[name][...] = value  # in place: parameters are views of the flat buffer
 
 
 def _document(net: Network, optimizer: AdamState | None, rng_seed: int | None) -> dict:

@@ -1,19 +1,19 @@
 """Layer implementations with hand-derived backward passes.
 
-``forward`` is the training pass: it returns ``(output, cache)``, and
-backward consumes the cache and the upstream gradient and returns
-``(input_gradient, parameter_gradients)``. ``infer`` is the inference
-pass: it returns the output alone.
-Parameter gradients follow the order of ``parameters()``. Backward writes
-them into ``out`` (arrays shaped like the parameters) when it is given;
-``input_only=True`` skips them and returns an empty list.
+A layer names the arrays it holds, and the network, its clone and the
+checkpoint read those names: ``param_names``, the trained parameters, and
+``state_names``, what a training pass updates untrained (BatchNorm's running
+statistics). ``forward`` is the training pass: it returns ``(output,
+cache)``. ``backward(cache, grad, out=None)`` returns the input gradient;
+given ``out``, arrays in the order of ``param_names``, it also writes the
+parameter gradients into them. ``infer`` returns the inference output alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError, SpecError, StateError
+from ..errors import ShapeError, StateError
 from .specs import LayerSpec
 
 
@@ -27,14 +27,12 @@ class Layer:
     in_width: int
     out_width: int
     param_names: tuple[str, ...] = ()
-
-    def parameters(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in self.param_names]
+    state_names: tuple[str, ...] = ()
 
     def forward(self, x, rng=None, update_stats=True):
         raise NotImplementedError
 
-    def backward(self, cache, grad, out=None, input_only=False):
+    def backward(self, cache, grad, out=None):
         raise NotImplementedError
 
     def infer(self, x, in_place=False):
@@ -71,14 +69,13 @@ class Dense(Layer):
         out += self.bias
         return out, x
 
-    def backward(self, cache, grad, out=None, input_only=False):
+    def backward(self, cache, grad, out=None):
         grad_x = grad @ self.weight.T
-        if input_only:
-            return grad_x, []
-        grad_w, grad_b = out if out is not None else (None, None)
-        grad_w = np.matmul(cache.T, grad, out=grad_w)
-        grad_b = np.sum(grad, axis=0, out=grad_b)
-        return grad_x, [grad_w, grad_b]
+        if out is not None:
+            grad_w, grad_b = out
+            np.matmul(cache.T, grad, out=grad_w)
+            np.sum(grad, axis=0, out=grad_b)
+        return grad_x
 
 
 class _Elementwise(Layer):
@@ -101,8 +98,8 @@ class ReLU(_Elementwise):
         # x * mask, not max(x, 0): a negative input gives -0.0, as in forward
         return np.multiply(x, x > 0.0, out=x if in_place else None)
 
-    def backward(self, cache, grad, out=None, input_only=False):
-        return grad * cache, []
+    def backward(self, cache, grad, out=None):
+        return grad * cache
 
 
 class Sigmoid(_Elementwise):
@@ -117,9 +114,9 @@ class Sigmoid(_Elementwise):
         out[~pos] = ex / (1.0 + ex)
         return out, out
 
-    def backward(self, cache, grad, out=None, input_only=False):
+    def backward(self, cache, grad, out=None):
         y = cache
-        return grad * y * (1.0 - y), []
+        return grad * y * (1.0 - y)
 
 
 class Softmax(_Elementwise):
@@ -132,10 +129,10 @@ class Softmax(_Elementwise):
         y = e / e.sum(axis=1, keepdims=True)
         return y, y
 
-    def backward(self, cache, grad, out=None, input_only=False):
+    def backward(self, cache, grad, out=None):
         y = cache
         inner = (grad * y).sum(axis=1, keepdims=True)
-        return y * (grad - inner), []
+        return y * (grad - inner)
 
 
 class Linear(_Elementwise):
@@ -145,8 +142,8 @@ class Linear(_Elementwise):
         self._check_width(x)
         return x, None
 
-    def backward(self, cache, grad, out=None, input_only=False):
-        return grad, []
+    def backward(self, cache, grad, out=None):
+        return grad
 
 
 class GaussianNoise(_Elementwise):
@@ -167,8 +164,8 @@ class GaussianNoise(_Elementwise):
     def infer(self, x, in_place=False):
         return x
 
-    def backward(self, cache, grad, out=None, input_only=False):
-        return grad, []
+    def backward(self, cache, grad, out=None):
+        return grad
 
 
 class Dropout(_Elementwise):
@@ -191,10 +188,10 @@ class Dropout(_Elementwise):
     def infer(self, x, in_place=False):
         return x
 
-    def backward(self, cache, grad, out=None, input_only=False):
+    def backward(self, cache, grad, out=None):
         if cache is None:
-            return grad, []
-        return grad * cache, []
+            return grad
+        return grad * cache
 
 
 class BatchNorm(_Elementwise):
@@ -209,6 +206,7 @@ class BatchNorm(_Elementwise):
     momentum = 0.99
     eps = 1e-3
     param_names = ("gamma", "beta")
+    state_names = ("running_mean", "running_var")
 
     def __init__(self, width: int):
         super().__init__(width)
@@ -239,34 +237,25 @@ class BatchNorm(_Elementwise):
         out += self.beta
         return out
 
-    def backward(self, cache, grad, out=None, input_only=False):
+    def backward(self, cache, grad, out=None):
         x_hat, inv_std = cache
         n = grad.shape[0]
-        # the input gradient needs both sums, so input_only saves nothing here
+        # the input gradient needs both sums, so they are taken without out too
         grad_gamma, grad_beta = out if out is not None else (None, None)
         grad_beta = np.sum(grad, axis=0, out=grad_beta)
         grad_gamma = np.sum(grad * x_hat, axis=0, out=grad_gamma)
-        grad_x = (self.gamma * inv_std / n) * (
-            n * grad - grad_beta - x_hat * grad_gamma
-        )
-        return grad_x, [] if input_only else [grad_gamma, grad_beta]
+        return (self.gamma * inv_std / n) * (n * grad - grad_beta - x_hat * grad_gamma)
+
+
+# the layer kinds built from their width alone, trunk layers and head activations
+WIDTH_ONLY = {cls.kind: cls for cls in (ReLU, Sigmoid, Softmax, Linear, BatchNorm)}
 
 
 def build_layer(spec: LayerSpec, in_width: int, rng: np.random.Generator) -> Layer:
     if spec.kind == "dense":
         return Dense(in_width, spec.out_width, rng)
-    if spec.kind == "relu":
-        return ReLU(in_width)
-    if spec.kind == "sigmoid":
-        return Sigmoid(in_width)
-    if spec.kind == "softmax":
-        return Softmax(in_width)
-    if spec.kind == "linear":
-        return Linear(in_width)
     if spec.kind == "gaussian_noise":
         return GaussianNoise(in_width, spec.stddev)
     if spec.kind == "dropout":
         return Dropout(in_width, spec.rate)
-    if spec.kind == "batch_norm":
-        return BatchNorm(in_width)
-    raise SpecError(f"unknown layer kind {spec.kind!r}")
+    return WIDTH_ONLY[spec.kind](in_width)

@@ -23,13 +23,6 @@ INFER = "infer"
 # many, so its intermediate arrays stay block-sized whatever the batch
 INFER_BLOCK_ROWS = 512
 
-_HEAD_ACTIVATION_CLS = {
-    "sigmoid": L.Sigmoid,
-    "softmax": L.Softmax,
-    "linear": L.Linear,
-    "relu": L.ReLU,
-}
-
 
 @dataclass
 class Gradients:
@@ -52,15 +45,13 @@ class Gradients:
         return self.buffer
 
 
+@dataclass(slots=True)
 class _ForwardCache:
-    __slots__ = ("net", "mode", "batch_size", "trunk", "heads")
-
-    def __init__(self, net, mode, batch_size, trunk, heads):
-        self.net = net
-        self.mode = mode
-        self.batch_size = batch_size
-        self.trunk = trunk
-        self.heads = heads
+    net: Network
+    mode: str
+    batch_size: int
+    trunk: list
+    heads: list
 
 
 class Network:
@@ -89,12 +80,15 @@ class Network:
                 offset += arr.size
         return buffer
 
-    def _param_layers(self):
-        for layer in self.trunk:
-            if layer.param_names:
-                yield layer
-        for dense_layer, _ in self.heads:
-            yield dense_layer
+    def layers(self):
+        """Every layer: the trunk in order, then each head's dense layer and
+        activation."""
+        yield from self.trunk
+        for pair in self.heads:
+            yield from pair
+
+    def _param_layers(self) -> list[Layer]:
+        return [layer for layer in self.layers() if layer.param_names]
 
     def flat_parameters(self) -> np.ndarray:
         """The single buffer behind all parameter arrays."""
@@ -110,12 +104,8 @@ class Network:
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays, trunk first, then heads in order."""
-        params = []
-        for layer in self.trunk:
-            params.extend(layer.parameters())
-        for dense_layer, _ in self.heads:
-            params.extend(dense_layer.parameters())
-        return params
+        return [getattr(layer, name) for layer in self._param_layers()
+                for name in layer.param_names]
 
     def batch_norm_layers(self) -> list[L.BatchNorm]:
         return [layer for layer in self.trunk if isinstance(layer, L.BatchNorm)]
@@ -206,7 +196,8 @@ class Network:
 
         Parameter gradients go into a flat buffer allocated per call, so
         the ``Gradients`` of separate calls never alias. ``input_only``
-        skips them and computes the input gradients alone.
+        skips them, passing each layer no ``out``, and computes the input
+        gradients alone.
         """
         if cache.net is not self:
             raise StateError("cache was produced by a different network")
@@ -224,8 +215,7 @@ class Network:
             out = {layer: [flat[o:o + n].reshape(shape) for o, n, shape in spans]
                    for layer, spans in self._layout.items()}
 
-        trunk_width = self.spec.trunk_width()
-        trunk_grad = np.zeros((cache.batch_size, trunk_width))
+        trunk_grad = np.zeros((cache.batch_size, self.heads[0][0].in_width))
         for (dense_layer, activation), (dense_cache, act_cache), grad in zip(
             self.heads, cache.heads, head_loss_grads
         ):
@@ -235,15 +225,12 @@ class Network:
                     f"head gradient shape {grad.shape} does not match output "
                     f"({cache.batch_size}, {dense_layer.out_width})"
                 )
-            grad, _ = activation.backward(act_cache, grad)
-            grad, _ = dense_layer.backward(dense_cache, grad, out.get(dense_layer),
-                                           input_only=input_only)
-            trunk_grad += grad
+            grad = activation.backward(act_cache, grad)
+            trunk_grad += dense_layer.backward(dense_cache, grad, out.get(dense_layer))
 
         grad = trunk_grad
         for layer, layer_cache in zip(reversed(self.trunk), reversed(cache.trunk)):
-            grad, _ = layer.backward(layer_cache, grad, out.get(layer),
-                                     input_only=input_only)
+            grad = layer.backward(layer_cache, grad, out.get(layer))
 
         input_grads = []
         offset = 0
@@ -269,19 +256,19 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     heads = []
     for head_width, activation_name in spec.output_heads:
         dense_layer = L.Dense(width, head_width, rng)
-        activation = _HEAD_ACTIVATION_CLS[activation_name](head_width)
+        activation = L.WIDTH_ONLY[activation_name](head_width)
         heads.append((dense_layer, activation))
     return Network(spec, trunk, heads)
 
 
 def clone_network(net: Network) -> Network:
-    """Independent copy with identical parameters and running statistics.
+    """Independent copy with identical parameters and state arrays.
 
     (A plain deepcopy would sever the layer views from the flat buffer.)
     """
     dup = init_network(net.spec, seed=0)
     dup.flat_parameters()[...] = net.flat_parameters()
-    for src, dst in zip(net.batch_norm_layers(), dup.batch_norm_layers()):
-        dst.running_mean = src.running_mean.copy()
-        dst.running_var = src.running_var.copy()
+    for src, dst in zip(net.layers(), dup.layers()):
+        for name in src.state_names:
+            getattr(dst, name)[...] = getattr(src, name)
     return dup

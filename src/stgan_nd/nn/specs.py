@@ -7,7 +7,9 @@ non-dense layers are inferred when the network is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass
 
 from ..errors import SpecError
 
@@ -25,6 +27,22 @@ LAYER_KINDS = (
 HEAD_ACTIVATIONS = ("sigmoid", "softmax", "linear", "relu")
 
 
+def _width(value, field: str) -> int:
+    """``value`` as an int if it is a positive Python or numpy integer, never a
+    bool: a checkpoint's spec can carry any JSON value into a width."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise SpecError(f"{field} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _finite(value, field: str):
+    """``value`` if it is a finite Python or numpy int or float, never a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise SpecError(f"{field} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
@@ -36,13 +54,12 @@ class LayerSpec:
         if self.kind not in LAYER_KINDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
         if self.kind == "dense":
-            if self.out_width is None or int(self.out_width) < 1:
-                raise SpecError("dense layer needs out_width >= 1")
+            object.__setattr__(self, "out_width", _width(self.out_width, "LayerSpec.out_width"))
         if self.kind == "gaussian_noise":
-            if self.stddev is None or self.stddev < 0:
+            if _finite(self.stddev, "LayerSpec.stddev") < 0:
                 raise SpecError("gaussian_noise needs stddev >= 0")
         if self.kind == "dropout":
-            if self.rate is None or not 0.0 <= self.rate < 1.0:
+            if not 0.0 <= _finite(self.rate, "LayerSpec.rate") < 1.0:
                 raise SpecError("dropout rate must lie in [0, 1)")
 
 
@@ -87,20 +104,16 @@ class NetworkSpec:
     output_heads: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "input_widths", tuple(int(w) for w in self.input_widths))
+        object.__setattr__(self, "input_widths", tuple(
+            _width(w, "NetworkSpec.input_widths") for w in self.input_widths))
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(
-            self, "output_heads", tuple((int(w), str(a)) for w, a in self.output_heads)
-        )
+        object.__setattr__(self, "output_heads", tuple(
+            (_width(w, "NetworkSpec.output_heads width"), str(a)) for w, a in self.output_heads))
         if not self.input_widths:
             raise SpecError("network needs at least one input head")
         if not self.output_heads:
             raise SpecError("network needs at least one output head")
-        if any(w < 1 for w in self.input_widths):
-            raise SpecError("input widths must be positive")
-        for width, activation in self.output_heads:
-            if width < 1:
-                raise SpecError("output head widths must be positive")
+        for _, activation in self.output_heads:
             if activation not in HEAD_ACTIVATIONS:
                 raise SpecError(f"unknown head activation {activation!r}")
         for layer in self.layers:
@@ -111,30 +124,11 @@ class NetworkSpec:
     def total_input_width(self) -> int:
         return sum(self.input_widths)
 
-    def trunk_width(self) -> int:
-        """Width of the trunk output feeding every head."""
-        width = self.total_input_width
-        for layer in self.layers:
-            if layer.kind == "dense":
-                width = layer.out_width
-        return width
-
     def to_dict(self) -> dict:
         return {
             "input_widths": list(self.input_widths),
-            "layers": [
-                {
-                    k: v
-                    for k, v in (
-                        ("kind", spec.kind),
-                        ("out_width", spec.out_width),
-                        ("stddev", spec.stddev),
-                        ("rate", spec.rate),
-                    )
-                    if v is not None
-                }
-                for spec in self.layers
-            ],
+            "layers": [{k: v for k, v in asdict(spec).items() if v is not None}
+                       for spec in self.layers],
             "output_heads": [[w, a] for w, a in self.output_heads],
         }
 

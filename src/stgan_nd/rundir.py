@@ -17,6 +17,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from . import blas
 from .data import Standardizer
 from .errors import DataError
@@ -161,6 +163,11 @@ class RunDir:
             labels = set(class_map.values())
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad preprocessing file in {self.path}: {exc!r}") from None
+        # what fit_standardizer can fit: finite means, finite positive stds
+        if not (np.isfinite(standardizer.mean).all() and np.isfinite(standardizer.std).all()
+                and (standardizer.std > 0).all()):
+            raise DataError(f"{self.path / PREPROCESSING} holds an unusable standardizer: "
+                            "each mean must be finite and each std finite and positive")
         if prep is not None:
             expected = _preprocessing(prep)
             for key in ("n_features", "class_map"):

@@ -143,8 +143,30 @@ _MALFORMED = {
     "no-optimizer": (_delete("optimizer"), "'optimizer'"),
     "no-rng-seed": (_delete("rng_seed"), "'rng_seed'"),
     "spec-layers-int": (_set(["spec", "layers"], 5), "not iterable"),
-    "out-width-string": (_set(["spec", "layers", 0, "out_width"], "x"), "invalid literal"),
-    "stddev-string": (_set(["spec", "layers", 1, "stddev"], "x"), "TypeError"),
+    "out-width-string": (_set(["spec", "layers", 0, "out_width"], "x"),
+                         "LayerSpec.out_width must be a positive integer, got 'x'"),
+    "out-width-float": (_set(["spec", "layers", 0, "out_width"], 6.9),
+                        "LayerSpec.out_width must be a positive integer, got 6.9"),
+    "stddev-string": (_set(["spec", "layers", 1, "stddev"], "x"),
+                      "LayerSpec.stddev must be a finite number, got 'x'"),
+    "stddev-bool": (_set(["spec", "layers", 1, "stddev"], True),
+                    "LayerSpec.stddev must be a finite number, got True"),
+    "stddev-nan": (_set(["spec", "layers", 1, "stddev"], float("nan")),
+                   "LayerSpec.stddev must be a finite number, got nan"),
+    "rate-inf": (_set(["spec", "layers", 4, "rate"], float("-inf")),
+                 "LayerSpec.rate must be a finite number, got -inf"),
+    "rate-bool": (_set(["spec", "layers", 4, "rate"], False),
+                  "LayerSpec.rate must be a finite number, got False"),
+    "input-width-string": (_set(["spec", "input_widths", 0], "4"),
+                           "NetworkSpec.input_widths must be a positive integer, got '4'"),
+    "input-width-float": (_set(["spec", "input_widths", 0], 4.5),
+                          "NetworkSpec.input_widths must be a positive integer, got 4.5"),
+    "head-width-string": (_set(["spec", "output_heads", 0, 0], "1"),
+                          "output_heads width must be a positive integer, got '1'"),
+    "head-width-float": (_set(["spec", "output_heads", 1, 0], 3.5),
+                         "NetworkSpec.output_heads width must be a positive integer, got 3.5"),
+    "head-width-bool": (_set(["spec", "output_heads", 0, 0], True),
+                        "NetworkSpec.output_heads width must be a positive integer, got True"),
     "arrays-null": (_set(["layers", 0, "arrays"], None), "TypeError"),
     "arrays-empty": (_set(["layers", 0, "arrays"], {}), "holds"),
     "layer-entry-list": (_set(["layers", 0], []), "TypeError"),

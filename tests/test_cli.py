@@ -1043,6 +1043,63 @@ def test_standardizer_narrower_than_the_generator_exits_one(small_gan, tmp_path,
     assert not (tmp_path / "d").exists()
 
 
+def _generate_and_distances(model: Path, tmp_path: Path) -> list[list]:
+    return [["generate", "--model", model, "--class", "1", "--out", tmp_path / "s.csv"],
+            ["distances", *SMALL_DATA, "--seed", "7", "--model", model,
+             "--out", tmp_path / "d"]]
+
+
+# spec values of the wrong type in a generator.json, each of which loaded
+# before widths and noise settings were type-checked: (path in the spec,
+# edit of the value there, the field the error names)
+_BAD_SPEC_VALUES = {
+    "input-width-string": (["input_widths", 0], str, "NetworkSpec.input_widths"),
+    "input-width-float": (["input_widths", 0], lambda w: w + 0.5, "NetworkSpec.input_widths"),
+    "head-width-string": (["output_heads", 0, 0], str, "NetworkSpec.output_heads width"),
+    "head-width-float": (["output_heads", 0, 0], lambda w: w + 0.5,
+                         "NetworkSpec.output_heads width"),
+    "stddev-bool": (["layers", 1, "stddev"], lambda _: True, "LayerSpec.stddev"),
+}
+
+
+@pytest.mark.parametrize("path,edit,field", list(_BAD_SPEC_VALUES.values()),
+                         ids=list(_BAD_SPEC_VALUES))
+def test_generator_spec_value_of_the_wrong_type_exits_one(small_gan, tmp_path, capsys,
+                                                          path, edit, field):
+    model = tmp_path / "model"
+    shutil.copytree(small_gan, model)
+    doc = json.loads((model / "generator.json").read_text())
+    *parents, key = path
+    node = doc["spec"]
+    for part in parents:
+        node = node[part]
+    node[key] = edit(node[key])
+    (model / "generator.json").write_text(json.dumps(doc))
+    for args in _generate_and_distances(model, tmp_path):
+        code, err = _error_exit(capsys, *args)
+        assert code == 1 and err.startswith("error: "), err
+        assert "generator.json" in err and f"{field} must be" in err
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("key,value", [("mean", "nan"), ("mean", "inf"), ("mean", "-inf"),
+                                       ("std", "0.0"), ("std", "-1.0"), ("std", "nan"),
+                                       ("std", "inf")])
+def test_unusable_standardizer_exits_one(small_gan, tmp_path, capsys, key, value):
+    model = tmp_path / "model"
+    shutil.copytree(small_gan, model)
+    payload = json.loads((model / "preprocessing.json").read_text())
+    payload["standardizer"][key][2] = value
+    (model / "preprocessing.json").write_text(json.dumps(payload))
+    for args in _generate_and_distances(model, tmp_path):
+        code, err = _error_exit(capsys, *args)
+        assert code == 1 and err.startswith("error: "), err
+        assert f"{model / 'preprocessing.json'} holds an unusable standardizer" in err
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("seed", "x"), ("seed", True), ("seed", -1), ("seed", 1.5),
     ("variant", "zzz"), ("variant", None),

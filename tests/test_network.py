@@ -9,14 +9,19 @@ from stgan_nd.nn import (
     INFER,
     INFER_BLOCK_ROWS,
     TRAIN,
+    Network,
     NetworkSpec,
     binary_cross_entropy,
     categorical_cross_entropy,
+    clone_network,
     composite_loss,
     init_network,
 )
 from stgan_nd.nn.layers import BatchNorm, Dense
 from stgan_nd.nn.specs import (
+    HEAD_ACTIVATIONS,
+    LAYER_KINDS,
+    LayerSpec,
     batch_norm,
     dense,
     dropout,
@@ -276,3 +281,59 @@ def test_infer_forward_allocates_no_full_batch_hidden_array():
     # the output plus a few block-sized buffers; one (n, 256) array is 41 MB
     block = INFER_BLOCK_ROWS * hidden * 8
     assert peak - before < out.nbytes + 4 * block < n * hidden * 8
+
+
+def _every_kind() -> Network:
+    """A network with one trunk layer of every kind and a head of every activation."""
+    settings = {"dense": dense(5), "gaussian_noise": gaussian_noise(0.1),
+                "dropout": dropout(0.2)}
+    layers = tuple(settings.get(kind) or LayerSpec(kind) for kind in LAYER_KINDS)
+    return init_network(NetworkSpec((3,), layers, tuple((2, a) for a in HEAD_ACTIVATIONS)),
+                        seed=0)
+
+
+def test_every_array_a_layer_holds_is_a_parameter_or_saved_state():
+    # the checkpoint and clone_network carry param_names + state_names and
+    # nothing else, so a layer keeping another array would lose it in both
+    net = _every_kind()
+    assert [layer.kind for layer in net.trunk] == list(LAYER_KINDS)
+    assert [activation.kind for _, activation in net.heads] == list(HEAD_ACTIVATIONS)
+    rng = np.random.default_rng(0)
+    outputs, cache = net.forward([rng.standard_normal((6, 3))], TRAIN, rng=rng)
+    net.backward(cache, [rng.standard_normal(y.shape) for y in outputs])
+    for layer in net.layers():
+        arrays = {name for name, value in vars(layer).items() if isinstance(value, np.ndarray)}
+        assert arrays == set(layer.param_names + layer.state_names), layer.kind
+
+
+def test_clone_network_copies_every_array_and_shares_none():
+    spec = NetworkSpec((3, 2), (dense(6), batch_norm(), relu(), dense(4), batch_norm()),
+                       ((1, "sigmoid"), (3, "softmax")))
+    net = init_network(spec, seed=3)
+    rng = np.random.default_rng(3)
+    probe = [rng.standard_normal((16, 3)), rng.standard_normal((16, 2))]
+
+    def train_step():
+        batch = [rng.standard_normal((8, 3)), rng.standard_normal((8, 2))]
+        outputs, cache = net.forward(batch, TRAIN, rng=rng, update_stats=True)
+        grads = net.backward(cache, [rng.standard_normal(y.shape) for y in outputs])
+        net.flat_parameters()[...] -= 0.1 * grads.flat()
+
+    def bits(network):
+        return [y.view(np.uint64).copy() for y in network.forward(probe, INFER)[0]]
+
+    for _ in range(3):  # moves the parameters and the running statistics
+        train_step()
+    dup = clone_network(net)
+    expected = bits(net)
+    for got, want in zip(bits(dup), expected):
+        np.testing.assert_array_equal(got, want)
+    assert not np.shares_memory(dup.flat_parameters(), net.flat_parameters())
+    for original, copy in zip(net.layers(), dup.layers()):
+        for name in original.param_names + original.state_names:
+            assert not np.shares_memory(getattr(copy, name), getattr(original, name)), name
+
+    train_step()
+    assert any((a != b).any() for a, b in zip(bits(net), expected))
+    for got, want in zip(bits(dup), expected):
+        np.testing.assert_array_equal(got, want)
