@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 
@@ -50,12 +50,15 @@ _load_numpy_on_one_thread()
 # module imported is compiled again on every run.
 from . import blas  # noqa: E402
 from .data import load_dataset, save_dataset  # noqa: E402
-from .errors import DataError, NumericError, ShapeError, SpecError, StateError  # noqa: E402
+from .errors import (  # noqa: E402
+    ANY, BOOL, STRING, TRUE, DataError, NumericError, ShapeError, SpecError, StateError, check,
+    check_config, integer, list_of, nullable, number, one_of, read_json, setting, table,
+)
 from .gan import VARIANTS, BaselineConfig, GanConfig, generate_samples  # noqa: E402
 from .nn import INFER_BLOCK_ROWS  # noqa: E402
 from .rng import substream  # noqa: E402
 from .rundir import (  # noqa: E402
-    COMMAND, RunDir, clear_evaluation, read_json, write_evaluation, write_manifest,
+    COMMAND, ENVIRONMENT, RunDir, clear_evaluation, write_evaluation, write_manifest,
 )
 from .synth import SynthSpec, make_synthetic_dataset  # noqa: E402
 
@@ -76,82 +79,51 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and bool(value) and all(type(v) is int for v in value)
-
-
 @dataclass
 class DataConfig:
     """The data train, evaluate and distances read, and the seed that splits it."""
-    dataset: str | None
-    channels: list[int] | None
-    synth: SynthSpec | None
-    novel_classes: list[int]
-    seed: int
+    dataset: str | None = setting(rule=nullable(STRING))
+    channels: list[int] | None = setting(rule=nullable(list_of(integer(">= 0"), nonempty=True)))
+    synth: SynthSpec | None = setting(rule=nullable(table(SynthSpec)))
+    novel_classes: list[int] = setting(rule=list_of(integer(">= 0"), nonempty=True))
+    seed: int = setting(rule=integer(">= 0"))
 
     def __post_init__(self):
+        check_config(self)
         if self.dataset is None and self.synth is None:
             raise SpecError("provide --dataset or --synth-spec")
-        if not isinstance(self.dataset, (str, type(None))):
-            raise SpecError(f"dataset must be a path, got {self.dataset!r}")
         if self.synth is not None and self.channels is not None:
             raise SpecError("--channels applies to --dataset only, not to --synth-spec")
-        if self.channels is not None and not _is_int_list(self.channels):
-            raise SpecError(f"channels must be a non-empty list of integers, "
-                            f"got {self.channels!r}")
-        if not _is_int_list(self.novel_classes):
-            raise SpecError(f"novel classes must be a non-empty list of integers, "
-                            f"got {self.novel_classes!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
 class RunConfig(DataConfig):
     """The data and the training of one variant, as train and evaluate read them."""
-    variant: str
-    target_gca: list[float]
-    gan: GanConfig
-    baseline: BaselineConfig
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.variant not in VARIANTS:
-            raise SpecError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not isinstance(self.target_gca, list) or not all(
-                type(t) in (int, float) and 0.0 <= t <= 1.0 for t in self.target_gca):
-            raise SpecError(f"target GCA values must be numbers in [0, 1], got {self.target_gca}")
+    variant: str = setting(rule=one_of(*VARIANTS))
+    target_gca: list[float] = setting(rule=list_of(number("[0, 1]")))
+    gan: GanConfig = setting(rule=table(GanConfig))
+    baseline: BaselineConfig = setting(rule=table(BaselineConfig))
 
     @classmethod
-    def from_manifest(cls, payload: dict) -> "RunConfig":
-        if not isinstance(payload, dict):
-            raise DataError("a manifest must be a JSON object")
-        names = [f.name for f in fields(cls)]
-        missing = [k for k in names if k not in payload]
-        if missing:
-            raise DataError(f"manifest lacks {', '.join(missing)}")
-        values = {k: payload[k] for k in names}
-        gan, baseline = values["gan"], values["baseline"]
-        # manifests of earlier versions record real_targets_stochastic, an
-        # option whose one remaining setting is true
-        if isinstance(gan, dict) and "real_targets_stochastic" in gan:
-            if gan["real_targets_stochastic"] is not True:
-                raise DataError("manifest trains with one-hot real targets "
-                                "(real_targets_stochastic false), which is not supported")
-            gan = {k: v for k, v in gan.items() if k != "real_targets_stochastic"}
-        # ... and baseline.stochastic, which every variant overrode: the
-        # variant alone decides the targets, so the run is the same whatever
-        # its value
-        if isinstance(baseline, dict):
-            baseline = {k: v for k, v in baseline.items() if k != "stochastic"}
+    def from_manifest(cls, payload, where: str = "manifest") -> "RunConfig":
+        check(payload, _MANIFEST, where)
+
+        def build(config_class, values: dict):  # the config of its own fields
+            return config_class(**{k: values[k] for k in table(config_class)})
         try:
-            values["gan"] = GanConfig(**gan)
-            values["baseline"] = BaselineConfig(**baseline)
-            if values["synth"] is not None:
-                values["synth"] = SynthSpec(**values["synth"])
-        except TypeError as exc:
-            raise DataError(f"bad training or dataset config: {exc}") from None
-        return cls(**values)
+            return build(cls, {**payload, "gan": build(GanConfig, payload["gan"]),
+                               "baseline": build(BaselineConfig, payload["baseline"]),
+                               "synth": payload["synth"] and build(SynthSpec, payload["synth"])})
+        except SpecError as exc:  # a rule across fields
+            raise DataError(f"{where}: {exc}") from None
+
+
+# a manifest: the run config, the environment, which replay ignores, and keys
+# of earlier versions: gan.real_targets_stochastic, whose one remaining setting
+# is true, and baseline.stochastic, which the variant overrode whatever it was
+_MANIFEST = {**table(RunConfig), ENVIRONMENT + "?": ANY, COMMAND + "?": ANY,
+             "gan": {**table(GanConfig), "real_targets_stochastic?": TRUE},
+             "baseline": {**table(BaselineConfig), "stochastic?": BOOL}}
 
 
 # argparse ``type=`` callables; argparse reports their ArgumentTypeError as
@@ -328,12 +300,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        payload = read_json(Path(args.manifest), "manifest")
+        payload = read_json(args.manifest)
         command = payload.get(COMMAND, "train") if isinstance(payload, dict) else "train"
         if command != "train":
             raise DataError(f"{args.manifest} is the manifest of a {command!r} run; "
                             f"train replays the manifests of training runs only")
-        config = RunConfig.from_manifest(payload)
+        config = RunConfig.from_manifest(payload, args.manifest)
     else:
         config = _run_config_from_args(args)
     RunDir(args.out).train(config, _prepare(config))
@@ -467,6 +439,10 @@ def main(argv=None) -> int:
         return 2
     except (SpecError, DataError, ShapeError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path that is a directory, a file, or unreadable
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -63,21 +63,28 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
+def _csv_rows(path: Path):
+    """The rows of a CSV file; bytes that are not text raise DataError naming it."""
+    try:
+        with open(path, newline="") as handle:
+            yield from csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
+
+
 def _read_numeric_csv(path: Path, skip_header: bool) -> np.ndarray:
     rows = []
     width = None
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for i, cells in enumerate(reader):
-            if i == 0 and skip_header:
-                continue
-            if not cells:
-                continue
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(f"{path}: row {i} has {len(cells)} columns, expected {width}")
-            rows.append([_parse_cell(c, i, j) for j, c in enumerate(cells)])
+    for i, cells in enumerate(_csv_rows(path)):
+        if i == 0 and skip_header:
+            continue
+        if not cells:
+            continue
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataError(f"{path}: row {i} has {len(cells)} columns, expected {width}")
+        rows.append([_parse_cell(c, i, j) for j, c in enumerate(cells)])
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
@@ -93,8 +100,7 @@ def load_dataset(path, channels: list[int] | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as handle:
-        header = next(csv.reader(handle), None)
+    header = next(_csv_rows(path), None)
     if header is None:
         raise DataError(f"{path}: empty file")
 
@@ -127,31 +133,30 @@ def _select_channels(matrix: np.ndarray, channels: list[int] | None, path) -> np
 def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
     """Each listed recording reduced to its feature vector as it is read."""
     features, labels = [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # header
-        for i, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise DataError(f"{path}: manifest row {i} needs exactly path,label")
-            sample_path = (path.parent / cells[0]).resolve()
-            if not sample_path.exists():
-                raise DataError(f"{path}: row {i} points at missing file {cells[0]}")
-            sample = _read_numeric_csv(sample_path, skip_header=False)
-            sample = _select_channels(sample, channels, sample_path)
-            try:
-                vector = extract_features(sample)
-            except DataError as exc:
-                raise DataError(f"{path}: row {i} ({cells[0]}): {exc}") from None
-            if features and vector.size != features[0].size:
-                raise DataError(f"{path}: row {i} sample has {vector.size} channels, "
-                                f"the first has {features[0].size}")
-            features.append(vector)
-            label = _parse_cell(cells[1], i, 1)
-            if label != round(label):
-                raise DataError(f"{path}: row {i} label must be an integer")
-            labels.append(int(label))
+    rows = _csv_rows(path)
+    next(rows)  # header
+    for i, cells in enumerate(rows, start=1):
+        if not cells:
+            continue
+        if len(cells) != 2:
+            raise DataError(f"{path}: manifest row {i} needs exactly path,label")
+        sample_path = (path.parent / cells[0]).resolve()
+        if not sample_path.exists():
+            raise DataError(f"{path}: row {i} points at missing file {cells[0]}")
+        sample = _read_numeric_csv(sample_path, skip_header=False)
+        sample = _select_channels(sample, channels, sample_path)
+        try:
+            vector = extract_features(sample)
+        except DataError as exc:
+            raise DataError(f"{path}: row {i} ({cells[0]}): {exc}") from None
+        if features and vector.size != features[0].size:
+            raise DataError(f"{path}: row {i} sample has {vector.size} channels, "
+                            f"the first has {features[0].size}")
+        features.append(vector)
+        label = _parse_cell(cells[1], i, 1)
+        if label != round(label):
+            raise DataError(f"{path}: row {i} label must be an integer")
+        labels.append(int(label))
     if not features:
         raise DataError(f"{path}: manifest lists no samples")
     return Dataset(np.array(features), np.array(labels))
@@ -216,10 +221,8 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Standardizer":
-        return cls(
-            mean=np.array([float(x) for x in payload["mean"]]),
-            std=np.array([float(x) for x in payload["std"]]),
-        )
+        """The standardizer of the decimal strings ``to_dict`` writes."""
+        return cls(*(np.array(payload[key], dtype=float) for key in ("mean", "std")))
 
 
 def fit_standardizer(train_features: np.ndarray) -> Standardizer:

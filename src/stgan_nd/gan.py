@@ -15,7 +15,7 @@ import numpy as np
 
 from .blas import single_thread as _single_thread_blas
 from .data import one_hot_batch, stochastic_target_batch
-from .errors import NumericError, ShapeError, SpecError, check_field_types
+from .errors import NumericError, ShapeError, SpecError, check_config, integer, number, setting
 from .nn import (
     AdamState,
     INFER,
@@ -55,76 +55,55 @@ class GanConfig:
     glove-dataset variant (more epochs, larger latent space).
     """
 
-    epochs: int = 300
-    batch_size: int = 32
-    latent_size: int = 8
-    lr_d: float = 0.0002
-    lr_g: float = 0.001
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    decay_d: float = 1e-7
-    decay_g: float = 1e-6
-    g_validity_weight: float = 1.3
-    g_class_weight: float = 0.8
-    d_validity_weight: float = 1.0
-    d_class_weight: float = 1.0
-    stochastic_p_low: float = 0.9
-    stochastic_p_high: float = 1.0
-    checkpoint_every: int = 50
-    seed: int = 0
+    epochs: int = setting(300, rule=integer(">= 1"))
+    batch_size: int = setting(32, rule=integer(">= 2"))
+    latent_size: int = setting(8, rule=integer(">= 1"))
+    lr_d: float = setting(0.0002, rule=number("> 0"))
+    lr_g: float = setting(0.001, rule=number("> 0"))
+    adam_beta1: float = setting(0.5, rule=number("[0, 1)"))
+    adam_beta2: float = setting(0.999, rule=number("[0, 1)"))
+    decay_d: float = setting(1e-7, rule=number(">= 0"))
+    decay_g: float = setting(1e-6, rule=number(">= 0"))
+    g_validity_weight: float = setting(1.3, rule=number(">= 0"))
+    g_class_weight: float = setting(0.8, rule=number(">= 0"))
+    d_validity_weight: float = setting(1.0, rule=number(">= 0"))
+    d_class_weight: float = setting(1.0, rule=number(">= 0"))
+    stochastic_p_low: float = setting(0.9, rule=number("(0, 1]"))
+    stochastic_p_high: float = setting(1.0, rule=number("(0, 1]"))
+    checkpoint_every: int = setting(50, rule=integer(">= 1"))
+    seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.batch_size < 2 or self.batch_size % 2:
+        check_config(self)
+        if self.batch_size % 2:
             raise SpecError("batch_size must be even (half real, half generated)")
-        if min(self.epochs, self.latent_size) < 1:
-            raise SpecError("epochs and latent_size must be positive")
-        if min(self.lr_d, self.lr_g) <= 0:
-            raise SpecError("learning rates must be positive")
-        if min(self.decay_d, self.decay_g) < 0:
-            raise SpecError("decay must be non-negative")
-        if not 0.0 < self.stochastic_p_low <= self.stochastic_p_high <= 1.0:
-            raise SpecError("need 0 < p_low <= p_high <= 1")
-        if self.checkpoint_every < 1:
-            raise SpecError("checkpoint_every must be positive")
-        if self.seed < 0:
-            raise SpecError("seed must be non-negative")
+        if self.stochastic_p_low > self.stochastic_p_high:
+            raise SpecError("need p_low <= p_high")
 
     @classmethod
     def uc2017(cls, **overrides) -> "GanConfig":
-        values = dict(
-            epochs=600,
-            latent_size=23,
-            lr_d=0.001,
-            g_validity_weight=1.1,
-            g_class_weight=1.0,
-        )
-        values.update(overrides)
-        return cls(**values)
+        return cls(**{"epochs": 600, "latent_size": 23, "lr_d": 0.001, "g_validity_weight": 1.1,
+                      "g_class_weight": 1.0, **overrides})
 
 
 @dataclass
 class BaselineConfig:
     """Plain supervised training of the discriminator-shaped network."""
 
-    learning_rate: float = 0.01
-    max_epochs: int = 300
-    batch_size: int = 32
-    patience: int = 12
-    p_low: float = 0.8
-    p_high: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    seed: int = 0
+    learning_rate: float = setting(0.01, rule=number("> 0"))
+    max_epochs: int = setting(300, rule=integer(">= 1"))
+    batch_size: int = setting(32, rule=integer(">= 1"))
+    patience: int = setting(12, rule=integer(">= 1"))
+    p_low: float = setting(0.8, rule=number("(0, 1]"))
+    p_high: float = setting(1.0, rule=number("(0, 1]"))
+    adam_beta1: float = setting(0.9, rule=number("[0, 1)"))
+    adam_beta2: float = setting(0.999, rule=number("[0, 1)"))
+    seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.learning_rate <= 0:
-            raise SpecError("learning rate must be positive")
-        if min(self.max_epochs, self.batch_size, self.patience) < 1:
-            raise SpecError("epochs, batch size and patience must be positive")
-        if not 0.0 < self.p_low <= self.p_high <= 1.0:
-            raise SpecError("need 0 < p_low <= p_high <= 1")
+        check_config(self)
+        if self.p_low > self.p_high:
+            raise SpecError("need p_low <= p_high")
 
 
 class EpochLosses(NamedTuple):

@@ -1,30 +1,26 @@
 """Single-file JSON checkpoints, in one of two formats.
 
-Both hold the same document: the spec, each layer's arrays as
-``{"shape", ...}`` entries, the Adam state or null, and the seed. They
-differ only in how an array's float64 values are stored, and either way a
-reloaded network is bit-identical to the saved one. Which one a save
-writes follows from what it saves:
+Both hold one document, the spec, each layer's arrays as ``{"shape", ...}``
+entries, the Adam state or null, and the seed, and reload bit-identically.
+They differ in how an array's float64 values are stored:
 
-- ``stgan-nd-checkpoint-v1``, without optimizer state: ``"values"``, a list
-  of JSON numbers in shortest-repr decimal form. The model files of a run,
-  ``generator.json`` and ``discriminator.json``, are v1, because readers
-  outside this package parse their ``values`` lists.
-- ``stgan-nd-checkpoint-v2``, with optimizer state: ``"base64"``, one
-  string of the array's little-endian float64 bytes. The periodic resume
-  files ``checkpoints/*_eNNNN.json`` are v2: at the paper's widths the
-  discriminator's takes 3.13 MB against 6.43 MB as v1, and saves about
-  30 times faster.
+- ``stgan-nd-checkpoint-v1``, saved without optimizer state (the model
+  files, whose ``values`` readers outside this package parse): ``"values"``,
+  JSON numbers in shortest-repr form. Files of earlier versions, each value
+  and optimizer scalar a decimal string, load the same way.
+- ``stgan-nd-checkpoint-v2``, saved with it (the periodic resume files):
+  ``"base64"``, the little-endian float64 bytes; half the size, and about
+  30 times faster to save.
 
-The loader reads either one by its format tag. Files of earlier versions,
-v1 with each value a decimal string, load the same way.
-
-A save streams the document to a temporary file in the target's directory,
-each array in chunks of ``_CHUNK`` values, so its memory does not grow with
-the network; the bytes are those of ``json.dumps(doc, separators=(",", ":"))``
-of the whole document, each array as its whole list or base64 string. The
-file then replaces the target in one step, so a save that fails leaves the
-previous file, or none, never a truncated one.
+The loader checks the document against its format's table before it
+builds anything, so a missing or unknown key, a value of the wrong type or
+range (``learning_rate`` and ``epsilon`` > 0, ``beta1`` and ``beta2`` in
+[0, 1), ``decay`` >= 0, ``step_count`` an int >= 0), a bool or non-finite
+array value, or arrays that do not fit the spec raise a DataError that
+names the file and the key path. A save streams the document, ``_CHUNK``
+values at a time, as the bytes of one ``json.dumps(doc, separators=(",",
+":"))``, to a temporary file that then replaces the target: a failed
+save leaves the previous file, or none, never a truncated one.
 """
 
 from __future__ import annotations
@@ -36,10 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError, StganError
+from ..errors import (
+    STRING, DataError, Leaf, by, check, decimal, either, integer, list_of, map_of, nullable,
+    number, read_json,
+)
 from .adam import AdamState
 from .network import Network, init_network
-from .specs import NetworkSpec
+from .specs import TABLE as SPEC_TABLE, NetworkSpec
 
 FORMAT_V1 = "stgan-nd-checkpoint-v1"
 FORMAT_V2 = "stgan-nd-checkpoint-v2"
@@ -48,6 +47,39 @@ _ARRAY_KEYS = {FORMAT_V1: "values", FORMAT_V2: "base64"}  # each format's array 
 # multiple of 3, so the chunks' base64 strings join into the whole array's
 _CHUNK = 3072
 _SEPARATORS = (",", ":")
+
+# the tables of a document, per format. numpy decodes each array's values
+# in one call, and refuses what is not finite float64 values fitting the
+# shape; a bool it would read as 1.0, so the table refuses it first
+_SHAPE = list_of(integer(">= 1"))
+_ARRAY_TABLES = {
+    FORMAT_V1: {"shape": _SHAPE, "values": Leaf(
+        "a list of numbers or their decimal strings",
+        lambda v: type(v) is list and bool not in map(type, v))},
+    FORMAT_V2: {"shape": _SHAPE, "base64": STRING},
+}
+# the bounds of the optimizer's scalars; files of earlier versions (v1)
+# hold each one as its decimal string
+_RATES = {"learning_rate": "> 0", "beta1": "[0, 1)", "beta2": "[0, 1)", "epsilon": "> 0",
+          "decay": ">= 0"}
+
+
+def _document_table(format_: str) -> dict:
+    array = _ARRAY_TABLES[format_]
+    rate = number if format_ == FORMAT_V2 else (lambda b: either(number(b), decimal(b)))
+    optimizer = {**{name: rate(bounds) for name, bounds in _RATES.items()},
+                 "step_count": integer(">= 0"), "first_moment": [array],
+                 "second_moment": [array]}
+    return {
+        "spec": SPEC_TABLE,
+        "layers": list_of({"kind": STRING, "arrays": map_of(array)}),
+        "heads": list_of({"activation": STRING, "arrays": map_of(array)}),
+        "optimizer": nullable(optimizer),
+        "rng_seed": nullable(integer(">= 0")),
+    }
+
+
+_DOCUMENT = by("format", {format_: _document_table(format_) for format_ in _ARRAY_KEYS})
 
 
 def _encode_array(arr: np.ndarray, key: str) -> dict:
@@ -108,56 +140,45 @@ def _write_json(write, node) -> None:
         write(json.dumps(node, separators=_SEPARATORS))
 
 
-def _decode_array(payload: dict, key: str) -> np.ndarray:
-    """The array of one ``{"shape", key}`` entry: ``values`` holds JSON
-    numbers or decimal strings, ``base64`` little-endian float64 bytes."""
+def _decode_array(entry: dict, key: str, name: str = "array") -> np.ndarray:
+    """The array of one ``{"shape", key}`` entry that keeps its format's table:
+    ``values`` holds numbers or decimal strings, ``base64`` float64 bytes."""
     try:
-        shape = tuple(payload["shape"])
         if key == "base64":
-            raw = base64.b64decode(payload[key], validate=True)
+            raw = base64.b64decode(entry[key], validate=True)
             # a writable native copy: Adam updates its moments in place
             values = np.frombuffer(raw, dtype="<f8").astype(float)
         else:
-            values = np.array(payload[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise DataError(f"bad checkpoint array: {exc}") from None
-    if values.ndim != 1 or not np.isfinite(values).all():
-        raise DataError("checkpoint array values must be a flat list of finite numbers")
-    try:
-        return values.reshape(shape)
-    except (TypeError, ValueError):
-        raise DataError(f"checkpoint array of {values.size} values "
-                        f"does not fit shape {list(shape)}") from None
-
-
-def _decode_moment(entries: list, key: str, net: Network) -> np.ndarray:
-    if len(entries) != 1:
-        raise DataError(f"optimizer moment holds {len(entries)} arrays, expected 1")
-    moment = _decode_array(entries[0], key)
-    if moment.shape != net.flat_parameters().shape:
-        raise DataError(
-            f"optimizer moment has shape {moment.shape}, "
-            f"expected {net.flat_parameters().shape}"
-        )
-    return moment
+            values = np.array(entry[key], dtype=float)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        values = None
+    if values is None or values.ndim != 1 or not np.isfinite(values).all():
+        raise DataError(f"{name}: bad checkpoint array: {key} must hold finite float64 values"
+                        + ", as a flat list" * (key == "values"))
+    if values.size != np.prod(entry["shape"]):
+        raise DataError(f"{name}: bad checkpoint array of {values.size} values "
+                        f"does not fit shape {entry['shape']}")
+    return values.reshape(entry["shape"])
 
 
 def _layer_arrays(layer) -> dict:
     return {name: getattr(layer, name) for name in layer.param_names + layer.state_names}
 
 
-def _restore_layer(layer, arrays: dict, key: str) -> None:
+def _restore(target: np.ndarray, entry: dict, key: str, name: str) -> None:
+    value = _decode_array(entry, key, name)
+    if value.shape != target.shape:
+        raise DataError(f"{name} has shape {value.shape}, expected {target.shape}")
+    target[...] = value  # in place: parameters are views of the flat buffer
+
+
+def _restore_layer(layer, arrays: dict, key: str, name: str) -> None:
     current = _layer_arrays(layer)
     if set(arrays) != set(current):
-        raise DataError(f"a {layer.kind} layer holds {sorted(current)}, got {sorted(arrays)}")
-    for name, entry in arrays.items():
-        value = _decode_array(entry, key)
-        if current[name].shape != value.shape:
-            raise DataError(
-                f"checkpoint array {name!r} has shape {value.shape}, "
-                f"expected {current[name].shape}"
-            )
-        current[name][...] = value  # in place: parameters are views of the flat buffer
+        raise DataError(f"{name} holds {sorted(arrays)}; a {layer.kind} layer holds "
+                        f"{sorted(current)}")
+    for array_name, entry in arrays.items():
+        _restore(current[array_name], entry, key, f"{name}.{array_name}")
 
 
 def _document(net: Network, optimizer: AdamState | None, rng_seed: int | None) -> dict:
@@ -165,33 +186,21 @@ def _document(net: Network, optimizer: AdamState | None, rng_seed: int | None) -
     v2 with optimizer state, v1 without."""
     format_ = FORMAT_V1 if optimizer is None else FORMAT_V2
     key = _ARRAY_KEYS[format_]
+
+    def arrays(layer) -> dict:
+        return {k: _encode_array(v, key) for k, v in _layer_arrays(layer).items()}
     doc = {
         "format": format_,
         "spec": net.spec.to_dict(),
-        "layers": [
-            {
-                "kind": layer.kind,
-                "arrays": {k: _encode_array(v, key) for k, v in _layer_arrays(layer).items()},
-            }
-            for layer in net.trunk
-        ],
-        "heads": [
-            {
-                "activation": net.spec.output_heads[i][1],
-                "arrays": {k: _encode_array(v, key) for k, v in _layer_arrays(dense).items()},
-            }
-            for i, (dense, _) in enumerate(net.heads)
-        ],
+        "layers": [{"kind": layer.kind, "arrays": arrays(layer)} for layer in net.trunk],
+        "heads": [{"activation": activation, "arrays": arrays(dense)}
+                  for (dense, _), (_, activation) in zip(net.heads, net.spec.output_heads)],
         "optimizer": None,
         "rng_seed": rng_seed,
     }
     if optimizer is not None:
         doc["optimizer"] = {
-            "learning_rate": float(optimizer.learning_rate),
-            "beta1": float(optimizer.beta1),
-            "beta2": float(optimizer.beta2),
-            "epsilon": float(optimizer.epsilon),
-            "decay": float(optimizer.decay),
+            **{name: float(getattr(optimizer, name)) for name in _RATES},
             "step_count": optimizer.step_count,
             # each moment is a one-element list, as in files of earlier versions
             "first_moment": [_encode_array(optimizer.first_moment, key)],
@@ -214,50 +223,27 @@ def save_checkpoint(path, net: Network, optimizer: AdamState | None = None,
 
 
 def load_checkpoint(path) -> tuple[Network, AdamState | None, int | None]:
-    """Rebuild (network, optimizer state, rng seed) from a checkpoint file;
-    any document ``save_checkpoint`` does not write raises DataError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        return _from_document(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # DataError and SpecError are ValueErrors and say what is wrong
-        detail = exc if isinstance(exc, StganError) else repr(exc)
-        raise DataError(f"bad checkpoint {path}: {detail}") from None
-
-
-def _from_document(doc: dict) -> tuple[Network, AdamState | None, int | None]:
-    key = _ARRAY_KEYS.get(doc.get("format"))
-    if key is None:
-        raise DataError(f"not a {FORMAT_V1} or {FORMAT_V2} file")
-    spec = NetworkSpec.from_dict(doc["spec"])
-    net = init_network(spec, seed=0)  # parameters are overwritten below
-    if len(doc["layers"]) != len(net.trunk) or len(doc["heads"]) != len(net.heads):
-        raise DataError("checkpoint layer count does not match its own spec")
-    for layer, entry in zip(net.trunk, doc["layers"]):
-        if entry["kind"] != layer.kind:
-            raise DataError(f"layer kind mismatch: {entry['kind']} vs {layer.kind}")
-        _restore_layer(layer, entry["arrays"], key)
-    for (dense, _), (_, activation), entry in zip(net.heads, spec.output_heads, doc["heads"]):
-        if entry["activation"] != activation:
-            raise DataError(f"head activation mismatch: {entry['activation']} vs {activation}")
-        _restore_layer(dense, entry["arrays"], key)
-
-    opt, seed = doc["optimizer"], doc["rng_seed"]
-    if seed is not None and type(seed) is not int:
-        raise DataError(f"rng_seed must be an integer or null, got {seed!r}")
-    optimizer = None
+    """Rebuild (network, optimizer state, rng seed) from a checkpoint file; any
+    other document raises a DataError naming the file and the key path."""
+    doc = read_json(path)
+    check(doc, _DOCUMENT, str(path))
+    key = _ARRAY_KEYS[doc["format"]]
+    net = init_network(NetworkSpec.from_dict(doc["spec"]), seed=0)  # arrays are overwritten
+    kinds = [e["kind"] for e in doc["layers"]], [e["activation"] for e in doc["heads"]]
+    if kinds != ([layer.kind for layer in net.trunk], [a for _, a in net.spec.output_heads]):
+        raise DataError(f"{path}: layer kinds and head activations {kinds} differ from its spec's")
+    layers = [(f"layers[{i}]", layer) for i, layer in enumerate(net.trunk)]
+    layers += [(f"heads[{i}]", dense) for i, (dense, _) in enumerate(net.heads)]
+    for (name, layer), entry in zip(layers, doc["layers"] + doc["heads"]):
+        _restore_layer(layer, entry["arrays"], key, f"{path}: {name}.arrays")
+    opt, optimizer = doc["optimizer"], None
     if opt is not None:
-        optimizer = AdamState(
-            learning_rate=float(opt["learning_rate"]),
-            first_moment=_decode_moment(opt["first_moment"], key, net),
-            second_moment=_decode_moment(opt["second_moment"], key, net),
-            beta1=float(opt["beta1"]),
-            beta2=float(opt["beta2"]),
-            epsilon=float(opt["epsilon"]),
-            decay=float(opt["decay"]),
-            step_count=int(opt["step_count"]),
-        )
-    return net, optimizer, seed
+        moments = {name: np.empty_like(net.flat_parameters())
+                   for name in ("first_moment", "second_moment")}
+        for name, moment in moments.items():
+            _restore(moment, opt[name][0], key, f"{path}: optimizer.{name}[0]")
+        # one numpy decode of the scalars, numbers or the decimal strings of v1
+        rates = np.array([opt[name] for name in _RATES], dtype=float).tolist()
+        optimizer = AdamState(**moments, **dict(zip(_RATES, rates)),
+                              step_count=opt["step_count"])
+    return net, optimizer, doc["rng_seed"]

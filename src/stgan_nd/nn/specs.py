@@ -7,40 +7,26 @@ non-dense layers are inferred when the network is built.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 
-from ..errors import SpecError
+from ..errors import SpecError, by, check, integer, list_of, number, one_of
 
-LAYER_KINDS = (
-    "dense",
-    "relu",
-    "sigmoid",
-    "softmax",
-    "linear",
-    "gaussian_noise",
-    "batch_norm",
-    "dropout",
-)
-
+# each layer kind's settings, and nothing else, in a spec's layer entry
+SETTINGS = {
+    "dense": {"out_width": integer(">= 1")}, "relu": {}, "sigmoid": {}, "softmax": {},
+    "linear": {}, "gaussian_noise": {"stddev": number(">= 0")}, "batch_norm": {},
+    "dropout": {"rate": number("[0, 1)")},
+}
+LAYER_KINDS = tuple(SETTINGS)
 HEAD_ACTIVATIONS = ("sigmoid", "softmax", "linear", "relu")
+_LAYER = by("kind", SETTINGS)
 
-
-def _width(value, field: str) -> int:
-    """``value`` as an int if it is a positive Python or numpy integer, never a
-    bool: a checkpoint's spec can carry any JSON value into a width."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise SpecError(f"{field} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _finite(value, field: str):
-    """``value`` if it is a finite Python or numpy int or float, never a bool."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise SpecError(f"{field} must be a finite number, got {value!r}")
-    return value
+# the table of a spec's JSON form, as ``NetworkSpec.to_dict`` writes it
+TABLE = {
+    "input_widths": list_of(integer(">= 1"), nonempty=True),
+    "layers": list_of(_LAYER),
+    "output_heads": list_of([integer(">= 1"), one_of(*HEAD_ACTIVATIONS)], nonempty=True),
+}
 
 
 @dataclass(frozen=True)
@@ -51,48 +37,20 @@ class LayerSpec:
     rate: float | None = None     # dropout only
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise SpecError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "dense":
-            object.__setattr__(self, "out_width", _width(self.out_width, "LayerSpec.out_width"))
-        if self.kind == "gaussian_noise":
-            if _finite(self.stddev, "LayerSpec.stddev") < 0:
-                raise SpecError("gaussian_noise needs stddev >= 0")
-        if self.kind == "dropout":
-            if not 0.0 <= _finite(self.rate, "LayerSpec.rate") < 1.0:
-                raise SpecError("dropout rate must lie in [0, 1)")
+        check(self.to_dict(), _LAYER, "LayerSpec", SpecError)
+
+    def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def dense(out_width: int) -> LayerSpec:
-    return LayerSpec("dense", out_width=int(out_width))
+def _constructor(kind: str):
+    """The spec of a ``kind`` layer, given its settings in ``SETTINGS`` order."""
+    return lambda *settings: LayerSpec(kind, **dict(zip(SETTINGS[kind], settings, strict=True)))
 
 
-def relu() -> LayerSpec:
-    return LayerSpec("relu")
-
-
-def sigmoid() -> LayerSpec:
-    return LayerSpec("sigmoid")
-
-
-def softmax() -> LayerSpec:
-    return LayerSpec("softmax")
-
-
-def linear() -> LayerSpec:
-    return LayerSpec("linear")
-
-
-def gaussian_noise(stddev: float) -> LayerSpec:
-    return LayerSpec("gaussian_noise", stddev=float(stddev))
-
-
-def batch_norm() -> LayerSpec:
-    return LayerSpec("batch_norm")
-
-
-def dropout(rate: float) -> LayerSpec:
-    return LayerSpec("dropout", rate=float(rate))
+# dense(out_width), gaussian_noise(stddev), dropout(rate); the others take none
+dense, relu, sigmoid, softmax, linear, gaussian_noise, batch_norm, dropout = map(
+    _constructor, LAYER_KINDS)
 
 
 @dataclass(frozen=True)
@@ -104,21 +62,12 @@ class NetworkSpec:
     output_heads: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "input_widths", tuple(
-            _width(w, "NetworkSpec.input_widths") for w in self.input_widths))
+        object.__setattr__(self, "input_widths", tuple(self.input_widths))
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "output_heads", tuple(
-            (_width(w, "NetworkSpec.output_heads width"), str(a)) for w, a in self.output_heads))
-        if not self.input_widths:
-            raise SpecError("network needs at least one input head")
-        if not self.output_heads:
-            raise SpecError("network needs at least one output head")
-        for _, activation in self.output_heads:
-            if activation not in HEAD_ACTIVATIONS:
-                raise SpecError(f"unknown head activation {activation!r}")
-        for layer in self.layers:
-            if not isinstance(layer, LayerSpec):
-                raise SpecError("layers must be LayerSpec instances")
+        object.__setattr__(self, "output_heads", tuple(map(tuple, self.output_heads)))
+        if not all(isinstance(layer, LayerSpec) for layer in self.layers):
+            raise SpecError("layers must be LayerSpec instances")
+        check(self.to_dict(), TABLE, "NetworkSpec", SpecError)
 
     @property
     def total_input_width(self) -> int:
@@ -127,21 +76,12 @@ class NetworkSpec:
     def to_dict(self) -> dict:
         return {
             "input_widths": list(self.input_widths),
-            "layers": [{k: v for k, v in asdict(spec).items() if v is not None}
-                       for spec in self.layers],
-            "output_heads": [[w, a] for w, a in self.output_heads],
+            "layers": [layer.to_dict() for layer in self.layers],
+            "output_heads": [list(head) for head in self.output_heads],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NetworkSpec":
-        layers = tuple(
-            LayerSpec(
-                entry["kind"],
-                out_width=entry.get("out_width"),
-                stddev=entry.get("stddev"),
-                rate=entry.get("rate"),
-            )
-            for entry in payload["layers"]
-        )
-        heads = tuple((w, a) for w, a in payload["output_heads"])
-        return cls(tuple(payload["input_widths"]), layers, heads)
+        """The spec of a JSON form that keeps ``TABLE``."""
+        return cls(payload["input_widths"], [LayerSpec(**entry) for entry in payload["layers"]],
+                   payload["output_heads"])

@@ -17,11 +17,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import blas
 from .data import Standardizer
-from .errors import DataError
+from .errors import DataError, check, decimal, integer, list_of, map_of, read_json
 from .nn import Network, load_checkpoint, save_checkpoint
 
 if TYPE_CHECKING:
@@ -56,15 +54,6 @@ def _write_losses(path: Path, history) -> None:
                ([epoch, *map(repr, losses)] for epoch, *losses in history))
 
 
-def read_json(path: Path, what: str):
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
-
-
 def write_manifest(out: Path, config: DataConfig, variants: list[str] | None = None,
                    command: str | None = None, **inputs) -> None:
     """``config``, the data or run configuration read, and the environment.
@@ -76,6 +65,17 @@ def write_manifest(out: Path, config: DataConfig, variants: list[str] | None = N
     head = {} if command is None else {COMMAND: command}
     payload = {**head, **dict(items), **inputs, ENVIRONMENT: blas.environment()}
     (out / MANIFEST).write_text(json.dumps(payload, indent=1))
+
+
+# the table of preprocessing.json: the standardizer as ``to_dict`` writes it,
+# and the class map from each original label (a string) to its dense one
+PREPROCESSING_FIELDS = {
+    "standardizer": {"mean": list_of(decimal(), nonempty=True),
+                     "std": list_of(decimal("> 0"), nonempty=True)},
+    "class_map": map_of(integer(">= 0")),
+    "n_features": integer(">= 1"),
+    "n_classes": integer(">= 1"),
+}
 
 
 def _preprocessing(prep: PreparedData) -> dict:
@@ -97,10 +97,9 @@ class RunDir:
     def matches(self, config: RunConfig, prep: PreparedData) -> bool:
         """Whether this holds a model trained for ``config`` on ``prep``'s data."""
         try:
-            manifest, stored = (json.loads((self.path / name).read_text())
-                                for name in (MANIFEST, PREPROCESSING))
+            manifest, stored = (read_json(self.path / name) for name in (MANIFEST, PREPROCESSING))
             manifest.pop(ENVIRONMENT, None)
-        except (AttributeError, OSError, ValueError):
+        except (AttributeError, DataError):
             return False
         expected = json.loads(json.dumps([asdict(config), _preprocessing(prep)]))
         return (self.path / DISCRIMINATOR).exists() and [manifest, stored] == expected
@@ -153,36 +152,27 @@ class RunDir:
                        ) -> tuple[Network, Standardizer]:
         """The generator and the standardizer it was trained against, checked
         against each other and, given ``prep``, against ``prep``'s data."""
-        if not (self.path / GENERATOR).exists():
-            raise DataError(f"no generator checkpoint in {self.path}")
-        payload = read_json(self.path / PREPROCESSING, "preprocessing file")
-        try:
-            standardizer = Standardizer.from_dict(payload["standardizer"])
-            n_features, n_classes = payload["n_features"], payload["n_classes"]
-            class_map = payload["class_map"]
-            labels = set(class_map.values())
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad preprocessing file in {self.path}: {exc!r}") from None
-        # what fit_standardizer can fit: finite means, finite positive stds
-        if not (np.isfinite(standardizer.mean).all() and np.isfinite(standardizer.std).all()
-                and (standardizer.std > 0).all()):
-            raise DataError(f"{self.path / PREPROCESSING} holds an unusable standardizer: "
-                            "each mean must be finite and each std finite and positive")
+        payload = read_json(self.path / PREPROCESSING)
+        check(payload, PREPROCESSING_FIELDS, str(self.path / PREPROCESSING))
+        standardizer = Standardizer.from_dict(payload["standardizer"])
+        n_features, n_classes = payload["n_features"], payload["n_classes"]
+        class_map = payload["class_map"]
         if prep is not None:
             expected = _preprocessing(prep)
             for key in ("n_features", "class_map"):
                 if payload[key] != expected[key]:
-                    raise DataError(f"{self.path} was trained on other data: its {key} is "
-                                    f"{payload[key]}, the data's is {expected[key]}")
+                    raise DataError(f"{self.path / PREPROCESSING}: the run was trained on "
+                                    f"other data: its {key} is {payload[key]}, the data's is "
+                                    f"{expected[key]}")
         generator, _, _ = load_checkpoint(self.path / GENERATOR)
         # a generator maps (latent, class target) inputs to one head of features
         widths = (list(generator.spec.input_widths[1:]),
                   [w for w, _ in generator.spec.output_heads])
         if (widths != ([n_classes], [n_features]) or len(class_map) != n_classes
-                or labels != set(range(generator.spec.input_widths[-1]))
+                or set(class_map.values()) != set(range(generator.spec.input_widths[-1]))
                 or not standardizer.mean.size == standardizer.std.size == n_features):
-            raise DataError(f"the generator in {self.path}, of class and feature widths "
-                            f"{widths}, does not fit its preprocessing file: {n_classes!r} "
+            raise DataError(f"{self.path / GENERATOR}, of class and feature widths {widths}, "
+                            f"does not fit {self.path / PREPROCESSING}: {n_classes!r} "
                             f"classes, class map {class_map}, {n_features!r} features, "
                             f"standardizer widths {standardizer.mean.size} and "
                             f"{standardizer.std.size}")

@@ -16,35 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import SpecError, check_field_types
+from .errors import SpecError, check_config, integer, number, setting
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_classes: int = 8
-    samples_per_class: int = 110
-    n_features: int = 16
-    cluster_mean_scale: float = 3.0
-    within_class_std: float = 0.5
-    overlap: float = 0.6
-    seed: int = 0
+    n_classes: int = setting(8, rule=integer(">= 2"))
+    samples_per_class: int = setting(110, rule=integer(">= 1"))
+    n_features: int = setting(16, rule=integer(">= 1"))
+    cluster_mean_scale: float = setting(3.0, rule=number(">= 0"))
+    within_class_std: float = setting(0.5, rule=number("> 0"))
+    overlap: float = setting(0.6, rule=number("[0, 1]"))
+    seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.n_classes < 2:
-            raise SpecError("need at least 2 classes")
-        if self.samples_per_class < 1:
-            raise SpecError("samples_per_class must be positive")
-        if self.n_features < 1:
-            raise SpecError("n_features must be positive")
-        if self.within_class_std <= 0:
-            raise SpecError("within_class_std must be positive")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise SpecError("overlap must lie in [0, 1]")
-        if self.cluster_mean_scale < 0:
-            raise SpecError("cluster_mean_scale must be non-negative")
-        if self.seed < 0:
-            raise SpecError("seed must be non-negative")
+        check_config(self)
 
 
 # share of within-class variance carried by the per-sample intensity factor

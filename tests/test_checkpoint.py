@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,39 +143,42 @@ _MALFORMED = {
     "no-heads": (_delete("heads"), "'heads'"),
     "no-optimizer": (_delete("optimizer"), "'optimizer'"),
     "no-rng-seed": (_delete("rng_seed"), "'rng_seed'"),
-    "spec-layers-int": (_set(["spec", "layers"], 5), "not iterable"),
+    "spec-layers-int": (_set(["spec", "layers"], 5), "spec.layers must be a list, got 5"),
     "out-width-string": (_set(["spec", "layers", 0, "out_width"], "x"),
-                         "LayerSpec.out_width must be a positive integer, got 'x'"),
+                         'spec.layers[0].out_width must be an integer >= 1, got "x"'),
     "out-width-float": (_set(["spec", "layers", 0, "out_width"], 6.9),
-                        "LayerSpec.out_width must be a positive integer, got 6.9"),
+                        "spec.layers[0].out_width must be an integer >= 1, got 6.9"),
     "stddev-string": (_set(["spec", "layers", 1, "stddev"], "x"),
-                      "LayerSpec.stddev must be a finite number, got 'x'"),
+                      'spec.layers[1].stddev must be a number >= 0, got "x"'),
     "stddev-bool": (_set(["spec", "layers", 1, "stddev"], True),
-                    "LayerSpec.stddev must be a finite number, got True"),
+                    "spec.layers[1].stddev must be a number >= 0, got true"),
     "stddev-nan": (_set(["spec", "layers", 1, "stddev"], float("nan")),
-                   "LayerSpec.stddev must be a finite number, got nan"),
+                   "spec.layers[1].stddev must be a number >= 0, got NaN"),
     "rate-inf": (_set(["spec", "layers", 4, "rate"], float("-inf")),
-                 "LayerSpec.rate must be a finite number, got -inf"),
+                 "spec.layers[4].rate must be a number in [0, 1), got -Infinity"),
     "rate-bool": (_set(["spec", "layers", 4, "rate"], False),
-                  "LayerSpec.rate must be a finite number, got False"),
+                  "spec.layers[4].rate must be a number in [0, 1), got false"),
     "input-width-string": (_set(["spec", "input_widths", 0], "4"),
-                           "NetworkSpec.input_widths must be a positive integer, got '4'"),
+                           'spec.input_widths[0] must be an integer >= 1, got "4"'),
     "input-width-float": (_set(["spec", "input_widths", 0], 4.5),
-                          "NetworkSpec.input_widths must be a positive integer, got 4.5"),
+                          "spec.input_widths[0] must be an integer >= 1, got 4.5"),
     "head-width-string": (_set(["spec", "output_heads", 0, 0], "1"),
-                          "output_heads width must be a positive integer, got '1'"),
+                          'spec.output_heads[0][0] must be an integer >= 1, got "1"'),
     "head-width-float": (_set(["spec", "output_heads", 1, 0], 3.5),
-                         "NetworkSpec.output_heads width must be a positive integer, got 3.5"),
+                         "spec.output_heads[1][0] must be an integer >= 1, got 3.5"),
     "head-width-bool": (_set(["spec", "output_heads", 0, 0], True),
-                        "NetworkSpec.output_heads width must be a positive integer, got True"),
-    "arrays-null": (_set(["layers", 0, "arrays"], None), "TypeError"),
+                        "spec.output_heads[0][0] must be an integer >= 1, got true"),
+    "arrays-null": (_set(["layers", 0, "arrays"], None),
+                    "layers[0].arrays must be an object, got null"),
     "arrays-empty": (_set(["layers", 0, "arrays"], {}), "holds"),
-    "layer-entry-list": (_set(["layers", 0], []), "TypeError"),
+    "layer-entry-list": (_set(["layers", 0], []), "layers[0] must be an object, got []"),
     "head-activation": (_set(["heads", 0, "activation"], "relu"), "activation"),
-    "optimizer-list": (_set(["optimizer"], []), "TypeError"),
+    "optimizer-list": (_set(["optimizer"], []), "optimizer must be an object, got []"),
     "rng-seed-string": (_set(["rng_seed"], "x"), "rng_seed"),
-    "beta1-string": (_set(["optimizer", "beta1"], "x"), "could not convert"),
-    "step-count-null": (_set(["optimizer", "step_count"], None), "TypeError"),
+    "beta1-string": (_set(["optimizer", "beta1"], "x"),
+                     'optimizer.beta1 must be a number in [0, 1), got "x"'),
+    "step-count-null": (_set(["optimizer", "step_count"], None),
+                        "optimizer.step_count must be an integer >= 0, got null"),
     "no-running-var": (lambda doc: doc["layers"][3]["arrays"].pop("running_var"),
                        "holds"),
 }
@@ -188,7 +192,7 @@ def test_malformed_structure_raises_data_error_naming_the_file(tmp_path, corrupt
     doc = json.loads(path.read_text())
     corrupt(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=match) as caught:
+    with pytest.raises(DataError, match=re.escape(match)) as caught:
         load_checkpoint(path)
     assert str(path) in str(caught.value)
     # a top-level list instead of an object
@@ -342,29 +346,35 @@ def _b64(*values) -> str:
     return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
 
 
-# bad head-bias entries of a v1 file, with what the error says
+# bad head-bias entries of a v1 file: the entry, the tag of its test id,
+# and what the error says
 _BAD_V1_ENTRIES = [
-    ({"shape": [2], "values": ["0.5", "abc"]}, "bad checkpoint array"),
-    ({"shape": [2], "values": [0.5, None]}, "finite"),
-    ({"shape": [2], "values": [0.5, "nan"]}, "finite"),
-    ({"shape": [2], "values": [[0.5], [1.0]]}, "flat list"),
-    ({"shape": [2], "values": [0.5, 1.0, 2.0]}, "does not fit shape"),
-    ({"shape": "ab", "values": [0.5, 1.0]}, "does not fit shape"),
-    ({"shape": [1], "values": {"0": 0.5}}, "bad checkpoint array"),
-    ({"shape": [1]}, "bad checkpoint array"),
+    ({"shape": [2], "values": ["0.5", "abc"]}, "bad checkpoint array", "bad checkpoint array"),
+    ({"shape": [2], "values": [0.5, None]}, "finite", "finite"),
+    ({"shape": [2], "values": [0.5, "nan"]}, "finite", "finite"),
+    ({"shape": [2], "values": [[0.5], [1.0]]}, "flat list", "flat list"),
+    ({"shape": [2], "values": [0.5, 1.0, 2.0]}, "does not fit shape", "does not fit shape"),
+    ({"shape": "ab", "values": [0.5, 1.0]}, "does not fit shape",
+     'heads[0].arrays.bias.shape must be a list, got "ab"'),
+    ({"shape": [1], "values": {"0": 0.5}}, "bad checkpoint array",
+     'heads[0].arrays.bias.values must be a list of numbers or their decimal strings, '
+     'got {"0": 0.5}'),
+    ({"shape": [1]}, "bad checkpoint array", "heads[0].arrays.bias lacks 'values'"),
 ]
 # more of them, each with the format of the file it goes into
 _BAD_TAGGED_ENTRIES = {
     "v1-base64": (FORMAT_V1, {"shape": [1], "base64": _b64(0.5)},
-                  "bad checkpoint array: 'values'"),
+                  "heads[0].arrays.bias lacks 'values'"),
     "v2-values": (FORMAT_V2, {"shape": [1], "values": [0.5]},
-                  "bad checkpoint array: 'base64'"),
+                  "heads[0].arrays.bias lacks 'base64'"),
     "v2-outside-alphabet": (FORMAT_V2, {"shape": [1], "base64": _b64(0.5)[:-2] + "!="},
                             "bad checkpoint array"),
     "v2-non-ascii": (FORMAT_V2, {"shape": [1], "base64": "\u00e9" * 12},
                      "bad checkpoint array"),
-    "v2-list": (FORMAT_V2, {"shape": [1], "base64": [0.5]}, "bad checkpoint array"),
-    "v2-number": (FORMAT_V2, {"shape": [1], "base64": 0.5}, "bad checkpoint array"),
+    "v2-list": (FORMAT_V2, {"shape": [1], "base64": [0.5]},
+                "heads[0].arrays.bias.base64 must be a string, got [0.5]"),
+    "v2-number": (FORMAT_V2, {"shape": [1], "base64": 0.5},
+                  "heads[0].arrays.bias.base64 must be a string, got 0.5"),
     "v2-12-bytes": (FORMAT_V2, {"shape": [1], "base64": base64.b64encode(bytes(12)).decode()},
                     "bad checkpoint array"),
     "v2-too-few-values": (FORMAT_V2, {"shape": [2], "base64": _b64(0.5)},
@@ -377,8 +387,8 @@ _BAD_TAGGED_ENTRIES = {
 
 
 @pytest.mark.parametrize("tag,entry,match", [
-    *(pytest.param(FORMAT_V1, entry, match, id=f"entry{i}-{match}")
-      for i, (entry, match) in enumerate(_BAD_V1_ENTRIES)),
+    *(pytest.param(FORMAT_V1, entry, match, id=f"entry{i}-{tag}")
+      for i, (entry, tag, match) in enumerate(_BAD_V1_ENTRIES)),
     *(pytest.param(*case, id=name) for name, case in _BAD_TAGGED_ENTRIES.items()),
 ])
 def test_bad_array_entries_raise_data_error(tmp_path, tag, entry, match):
@@ -391,7 +401,7 @@ def test_bad_array_entries_raise_data_error(tmp_path, tag, entry, match):
     assert doc["format"] == tag
     doc["heads"][0]["arrays"]["bias"] = entry
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(DataError, match=re.escape(match)):
         load_checkpoint(path)
 
 

@@ -244,7 +244,7 @@ def test_distances_manifest_without_its_command_exits_one_naming_the_training_ke
     edited.write_text(json.dumps(manifest))
     code, err = _error_exit(capsys, "train", "--manifest", edited, "--out", tmp_path / "x")
     assert code == 1 and err.startswith("error: ")
-    assert "lacks variant, target_gca, gan, baseline" in err
+    assert "lacks 'variant', 'target_gca', 'gan', 'baseline'" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -487,7 +487,7 @@ def test_evaluate_root_manifest_records_the_variants_it_evaluated(tmp_path, caps
     # the root manifest names no single variant to replay
     code, err = _error_exit(capsys, "train", "--manifest", out / "manifest.json",
                             "--out", tmp_path / "x")
-    assert code == 1 and err.startswith("error: ") and "lacks variant" in err
+    assert code == 1 and err.startswith("error: ") and "lacks 'variant'" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -917,7 +917,7 @@ def test_generate_non_finite_target_exits_one(small_gan, tmp_path, capsys, targe
 def test_evaluate_bad_target_gca_exits_one_before_training(tmp_path, capsys, target_gca):
     code, err = _error_exit(capsys, "evaluate", *SMALL_DATA, *FAST, "--variants", "baseline_a",
                             "--target-gca", target_gca, "--out", tmp_path / "e")
-    assert code == 1 and err.startswith("error: ") and "target GCA" in err
+    assert code == 1 and err.startswith("error: ") and "target_gca" in err
     assert not (tmp_path / "e").exists()
 
 
@@ -929,7 +929,7 @@ def test_train_manifest_with_a_bad_target_gca_exits_one(small_gan, tmp_path, cap
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(manifest))  # a NaN is written as the literal NaN
     code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
-    assert code == 1 and err.startswith("error: ") and "target GCA" in err
+    assert code == 1 and err.startswith("error: ") and "target_gca" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -983,14 +983,16 @@ _BAD_GENERATORS = {
                     "checkpoint array"),
     "short": (False, lambda doc: _first_weights(doc).pop(), "checkpoint array"),
     "no-layers": (False, lambda doc: doc.pop("layers"), "'layers'"),
-    "bad-beta1": (False, _periodic_optimizer_with_a_bad_beta1, "could not convert string"),
+    "bad-beta1": (False, _periodic_optimizer_with_a_bad_beta1,
+                  "optimizer.beta1 must be a number in [0, 1)"),
     "v2-outside-alphabet": (True, lambda doc: _weights_entry(doc).update(
         base64="*" + _weights_entry(doc)["base64"][1:]), "bad checkpoint array"),
     "v2-short": (True, _edit_v2_weights(lambda w: w[:-1]), "does not fit shape"),
     "v2-nan": (True, _edit_v2_weights(lambda w: np.r_[np.nan, w[1:]]), "finite"),
     "v2-values": (True, _values_under_v2, "'base64'"),
     "v2-tagged-v1": (True, lambda doc: doc.update(format=FORMAT_V1), "'values'"),
-    "v2-moment-size": (True, _moment_of_another_size, "optimizer moment has shape (5,)"),
+    "v2-moment-size": (True, _moment_of_another_size,
+                       "optimizer.second_moment[0] has shape (5,)"),
 }
 
 
@@ -1053,12 +1055,11 @@ def _generate_and_distances(model: Path, tmp_path: Path) -> list[list]:
 # before widths and noise settings were type-checked: (path in the spec,
 # edit of the value there, the field the error names)
 _BAD_SPEC_VALUES = {
-    "input-width-string": (["input_widths", 0], str, "NetworkSpec.input_widths"),
-    "input-width-float": (["input_widths", 0], lambda w: w + 0.5, "NetworkSpec.input_widths"),
-    "head-width-string": (["output_heads", 0, 0], str, "NetworkSpec.output_heads width"),
-    "head-width-float": (["output_heads", 0, 0], lambda w: w + 0.5,
-                         "NetworkSpec.output_heads width"),
-    "stddev-bool": (["layers", 1, "stddev"], lambda _: True, "LayerSpec.stddev"),
+    "input-width-string": (["input_widths", 0], str, "spec.input_widths[0]"),
+    "input-width-float": (["input_widths", 0], lambda w: w + 0.5, "spec.input_widths[0]"),
+    "head-width-string": (["output_heads", 0, 0], str, "spec.output_heads[0][0]"),
+    "head-width-float": (["output_heads", 0, 0], lambda w: w + 0.5, "spec.output_heads[0][0]"),
+    "stddev-bool": (["layers", 1, "stddev"], lambda _: True, "spec.layers[1].stddev"),
 }
 
 
@@ -1095,7 +1096,8 @@ def test_unusable_standardizer_exits_one(small_gan, tmp_path, capsys, key, value
     for args in _generate_and_distances(model, tmp_path):
         code, err = _error_exit(capsys, *args)
         assert code == 1 and err.startswith("error: "), err
-        assert f"{model / 'preprocessing.json'} holds an unusable standardizer" in err
+        assert (f"{model / 'preprocessing.json'}: standardizer.{key}[2] must be the decimal "
+                "string of a number") in err
     assert not (tmp_path / "s.csv").exists()
     assert not (tmp_path / "d").exists()
 
@@ -1396,3 +1398,75 @@ def test_corrupt_json_input_exits_one_and_leaves_out_as_it_was(small_gan, name, 
             assert code == 1, (args[0], err)
             assert err.startswith("error: ") and "Traceback" not in err, err
             assert _state(out) == before
+
+
+# a path that is a directory, a file, or holds bytes that are not text:
+# (arguments, given tmp_path and the small_gan model; the path the error names)
+def _path_fault_cases():
+    def dataset_directory(tmp, model):
+        (tmp / "data").mkdir()
+        return ["train", "--dataset", tmp / "data", "--novel-classes", "1",
+                "--out", tmp / "x"], tmp / "data"
+
+    def dataset_not_text(tmp, model):
+        (tmp / "data.csv").write_bytes(b"ch0,ch1,label\n1,2,\xff\xfe\n")
+        return ["train", "--dataset", tmp / "data.csv", "--novel-classes", "1",
+                "--out", tmp / "x"], tmp / "data.csv"
+
+    def generate_out_directory(tmp, model):
+        (tmp / "x").mkdir()
+        return ["generate", "--model", model, "--class", "1", "--out", tmp / "x"], tmp / "x"
+
+    def synth_out_directory(tmp, model):
+        (tmp / "x").mkdir()
+        return ["synth", "--out", tmp / "x"], tmp / "x"
+
+    def train_out_file(tmp, model):
+        (tmp / "x").write_text("kept")
+        return ["train", *SMALL_DATA, "--epochs", "1", "--out", tmp / "x"], tmp / "x"
+
+    def generator_not_text(tmp, model):
+        shutil.copytree(model, tmp / "model")
+        (tmp / "model" / "generator.json").write_bytes(b'{"format": "\xff\xfe"}')
+        return ["generate", "--model", tmp / "model", "--class", "1", "--out", tmp / "s.csv"], \
+            tmp / "model" / "generator.json"
+
+    return {f.__name__.replace("_", "-"): f for f in (
+        dataset_directory, dataset_not_text, generate_out_directory, synth_out_directory,
+        train_out_file, generator_not_text)}
+
+
+_PATH_FAULTS = _path_fault_cases()
+
+
+@pytest.mark.parametrize("case", list(_PATH_FAULTS.values()), ids=list(_PATH_FAULTS))
+def test_path_fault_exits_one_naming_the_path(small_gan, tmp_path, capsys, case):
+    args, path = case(tmp_path, small_gan)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    code, err = _error_exit(capsys, *args)
+    assert code == 1 and err.startswith("error: ") and str(path) in err, err
+    assert "Traceback" not in err
+    # nothing written: no file appeared, and the file in the way is as it was
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    if path.is_file() and path.name == "x":
+        assert path.read_text() == "kept"
+
+
+def test_uc2017_preset_scores_every_held_out_row_as_novel(tmp_path):
+    out = tmp_path / "uc"
+    assert run_cli("evaluate", "--synth-spec", "24,110,22", "--novel-classes", "19,20,21,22,23",
+                   "--preset", "uc2017", "--epochs", "5", "--variants", "baseline_a,test_2",
+                   "--seed", "1", "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [r["variant"] for r in report] == ["baseline_a", "test_2"]
+    for result in report:
+        for row in result["rows"]:
+            counts = row["counts"]
+            # 5 held-out classes of 110 rows, each scored as a class or as novel
+            assert counts["novel_as_class"] + counts["novel_as_others"] == 5 * 110
+    spec = json.loads((out / "test_2" / "generator.json").read_text())["spec"]
+    assert spec["input_widths"] == [23, 19]  # the preset's latent, and 19 trained classes
+    gan = json.loads((out / "test_2" / "manifest.json").read_text())["gan"]
+    assert gan == vars(GanConfig.uc2017(epochs=5, seed=1))
+    assert (gan["latent_size"], gan["lr_d"]) == (23, 0.001)
+    assert (gan["g_validity_weight"], gan["g_class_weight"]) == (1.1, 1.0)
