@@ -8,7 +8,7 @@ trains 80 to stay quick while still producing a usable generator.
 import numpy as np
 
 from stgan_nd.experiments import distance_tables, prepare_data
-from stgan_nd.gan import GanConfig, generate_samples, train_gan
+from stgan_nd.gan import LR_G, GanConfig, generate_samples, train_gan
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
 EPOCHS = 80
@@ -19,7 +19,7 @@ print(f"training data: {len(prep.y_train)} rows, {prep.n_classes} classes")
 
 config = GanConfig(epochs=EPOCHS, seed=1)
 print(f"\ntraining the GAN for {EPOCHS} epochs (batch {config.batch_size}, "
-      f"lr_D {config.lr_d}, lr_G {config.lr_g})")
+      f"lr_D {config.lr_d}, lr_G {LR_G})")
 bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, config)
 for record in bundle.loss_history[:: max(EPOCHS // 8, 1)]:
     print(f"epoch {record.epoch:3d}: D {record.d_loss:.3f} "

@@ -9,7 +9,7 @@ leaves them detectable headroom.
 import numpy as np
 
 from stgan_nd.experiments import evaluate_model, prepare_data, train_variant
-from stgan_nd.gan import BaselineConfig, GanConfig
+from stgan_nd.gan import PATIENCE, BaselineConfig, GanConfig
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
 ds = make_synthetic_dataset(SynthSpec(seed=0))
@@ -23,7 +23,7 @@ for variant in ("baseline_a", "test_1a"):
     evaluation = evaluate_model(model.network, prep, [0.95, 0.90])
     rows.append((variant, evaluation))
     print(f"{variant}: trained in {len(model.history)} epochs "
-          f"(early stopping, patience {baseline_config.patience})")
+          f"(early stopping, patience {PATIENCE})")
 
 print(f"\n{'variant':<12} {'tau':>20} {'GCA%':>7} {'NDA%':>7} {'bal%':>7} {'wgt%':>7}")
 for variant, evaluation in rows:

@@ -52,9 +52,13 @@ from . import blas  # noqa: E402
 from .data import load_dataset, save_dataset  # noqa: E402
 from .errors import (  # noqa: E402
     ANY, BOOL, STRING, TRUE, DataError, NumericError, ShapeError, SpecError, StateError, check,
-    check_config, integer, list_of, nullable, number, one_of, read_json, setting, table,
+    check_config, integer, list_of, nullable, number, one_of, read_json, retired, setting, table,
 )
-from .gan import VARIANTS, BaselineConfig, GanConfig, generate_samples  # noqa: E402
+from .gan import (  # noqa: E402
+    BASELINE_BETAS, BASELINE_LR, CHECKPOINT_EVERY, D_LOSS_WEIGHTS, DECAY_D, DECAY_G, GAN_BETAS,
+    GAN_PEAKS, LR_G, PATIENCE, TEST_1A_PEAKS, VARIANTS, BaselineConfig, GanConfig,
+    generate_samples,
+)
 from .nn import INFER_BLOCK_ROWS  # noqa: E402
 from .rng import substream  # noqa: E402
 from .rundir import (  # noqa: E402
@@ -65,6 +69,8 @@ from .synth import SynthSpec, make_synthetic_dataset  # noqa: E402
 ENV_SEED = "STGAN_ND_SEED"
 # the variants trained from one adversarial run; evaluate runs them as one job
 GAN_VARIANTS = ("test_2", "test_3")
+# the target GCAs evaluate tunes a threshold for, one row each
+TARGET_GCA = list_of(number("[0, 1]"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +106,6 @@ class DataConfig:
 class RunConfig(DataConfig):
     """The data and the training of one variant, as train and evaluate read them."""
     variant: str = setting(rule=one_of(*VARIANTS))
-    target_gca: list[float] = setting(rule=list_of(number("[0, 1]")))
     gan: GanConfig = setting(rule=table(GanConfig))
     baseline: BaselineConfig = setting(rule=table(BaselineConfig))
 
@@ -119,11 +124,22 @@ class RunConfig(DataConfig):
 
 
 # a manifest: the run config, the environment, which replay ignores, and keys
-# of earlier versions: gan.real_targets_stochastic, whose one remaining setting
-# is true, and baseline.stochastic, which the variant overrode whatever it was
-_MANIFEST = {**table(RunConfig), ENVIRONMENT + "?": ANY, COMMAND + "?": ANY,
-             "gan": {**table(GanConfig), "real_targets_stochastic?": TRUE},
-             "baseline": {**table(BaselineConfig), "stochastic?": BOOL}}
+# of earlier versions, which it ignores too: target_gca, an evaluate setting;
+# the fixed hyperparameters, each at its value only, so a replay never trains
+# with another value than the one recorded; gan.real_targets_stochastic, whose
+# one remaining setting is true; and baseline.stochastic, which the variant
+# overrode whatever it was
+_MANIFEST = {
+    **table(RunConfig), ENVIRONMENT + "?": ANY, COMMAND + "?": ANY, "target_gca?": TARGET_GCA,
+    "gan": {**table(GanConfig), "real_targets_stochastic?": TRUE, **retired(
+        lr_g=LR_G, adam_beta1=GAN_BETAS[0], adam_beta2=GAN_BETAS[1], decay_d=DECAY_D,
+        decay_g=DECAY_G, d_validity_weight=D_LOSS_WEIGHTS[0], d_class_weight=D_LOSS_WEIGHTS[1],
+        stochastic_p_low=GAN_PEAKS[0], stochastic_p_high=GAN_PEAKS[1],
+        checkpoint_every=CHECKPOINT_EVERY)},
+    "baseline": {**table(BaselineConfig), "stochastic?": BOOL, **retired(
+        learning_rate=BASELINE_LR, patience=PATIENCE, p_low=TEST_1A_PEAKS[0],
+        p_high=TEST_1A_PEAKS[1], adam_beta1=BASELINE_BETAS[0], adam_beta2=BASELINE_BETAS[1])},
+}
 
 
 # argparse ``type=`` callables; argparse reports their ArgumentTypeError as
@@ -186,9 +202,8 @@ def _add_data_args(p: _Parser) -> None:
 
 
 def _add_train_args(p: _Parser) -> None:
-    # also the defaults of the settings a command takes no flag for: train
-    # has no --target-gca, and evaluate sets the variant of each job itself
-    p.set_defaults(variant="test_2", target_gca=[0.95, 0.90])
+    # evaluate takes no --variant: it sets the variant of each job itself
+    p.set_defaults(variant="test_2")
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--batch-size", type=int, help="override batch size")
     p.add_argument("--latent-size", type=int, help="generator latent width")
@@ -225,8 +240,8 @@ def build_parser() -> _Parser:
     _add_train_args(p)
     p.add_argument("--variants", type=_parse_variants, default="test_2",
                    help="comma-separated list (default %(default)s)")
-    p.add_argument("--target-gca", type=_parse_floats,
-                   help="comma-separated target GCA values")
+    p.add_argument("--target-gca", type=_parse_floats, default="0.95,0.90",
+                   help="comma-separated target GCA values (default %(default)s)")
     p.add_argument("--jobs", type=_parse_positive_int, default=1,
                    help="train/evaluate this many variants in parallel")
     p.add_argument("--out", required=True, help="output directory")
@@ -266,13 +281,8 @@ def _run_config_from_args(args) -> RunConfig:
     supervised = {"max_epochs": args.epochs, "batch_size": args.batch_size}
     baseline = BaselineConfig(seed=args.seed,
                               **{k: v for k, v in supervised.items() if v is not None})
-    return _data_config_from_args(
-        args, RunConfig,
-        variant=args.variant,
-        target_gca=args.target_gca,
-        gan=preset(seed=args.seed, **overrides),
-        baseline=baseline,
-    )
+    return _data_config_from_args(args, RunConfig, variant=args.variant,
+                                  gan=preset(seed=args.seed, **overrides), baseline=baseline)
 
 
 def _prepare(config: DataConfig):
@@ -343,7 +353,7 @@ def _evaluate_one(payload) -> list[dict]:
     retrains from its GAN instead of training the same GAN again."""
     from .experiments import evaluate_model
 
-    base, variants, out_root, prep = payload
+    base, variants, out_root, prep, target_gca = payload
     gan = None
     results = []
     for variant in variants:
@@ -356,7 +366,7 @@ def _evaluate_one(payload) -> list[dict]:
             net = model.network
             if variant == "test_2":
                 gan = (model.bundle, run)
-        evaluation = evaluate_model(net, prep, config.target_gca)
+        evaluation = evaluate_model(net, prep, target_gca)
         run.write_roc(evaluation.roc_points)
         results.append({"variant": variant, "auc": evaluation.auc,
                         "rows": [asdict(r) for r in evaluation.rows],
@@ -377,12 +387,14 @@ def _evaluation_jobs(variants: list[str]) -> list[list[str]]:
 
 
 def cmd_evaluate(args) -> int:
+    check({"target_gca": args.target_gca}, {"target_gca": TARGET_GCA}, "evaluate", SpecError)
     config = _run_config_from_args(args)
     prep = _prepare(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clear_evaluation(out)
-    jobs = [(config, job, str(out), prep) for job in _evaluation_jobs(args.variants)]
+    jobs = [(config, job, str(out), prep, args.target_gca)
+            for job in _evaluation_jobs(args.variants)]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: multiprocessing is a start-up cost every other command skips
         from concurrent.futures import ProcessPoolExecutor
@@ -393,7 +405,7 @@ def cmd_evaluate(args) -> int:
         done = [r for job in jobs for r in _evaluate_one(job)]
     by_variant = {result["variant"]: result for result in done}
     results = [by_variant[v] for v in args.variants]
-    write_evaluation(out, config, args.variants, results)
+    write_evaluation(out, config, args.variants, args.target_gca, results)
     for result in results:
         print(f"{result['variant']}: AUC={result['auc']:.3f}")
     print(f"evaluation written to {out}")

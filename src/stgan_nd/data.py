@@ -53,13 +53,13 @@ class Dataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-def _parse_cell(text: str, row: int, col: int) -> float:
+def _parse_cell(text: str, path: Path, row: int, col: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DataError(f"row {row}, column {col}: {text!r} is not numeric") from None
+        raise DataError(f"{path}: row {row}, column {col}: {text!r} is not numeric") from None
     if not math.isfinite(value):
-        raise DataError(f"row {row}, column {col}: {text!r} is not finite")
+        raise DataError(f"{path}: row {row}, column {col}: {text!r} is not finite")
     return value
 
 
@@ -84,7 +84,7 @@ def _read_numeric_csv(path: Path, skip_header: bool) -> np.ndarray:
             width = len(cells)
         elif len(cells) != width:
             raise DataError(f"{path}: row {i} has {len(cells)} columns, expected {width}")
-        rows.append([_parse_cell(c, i, j) for j, c in enumerate(cells)])
+        rows.append([_parse_cell(c, path, i, j) for j, c in enumerate(cells)])
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
@@ -153,7 +153,7 @@ def _load_raw_manifest(path: Path, channels: list[int] | None) -> Dataset:
             raise DataError(f"{path}: row {i} sample has {vector.size} channels, "
                             f"the first has {features[0].size}")
         features.append(vector)
-        label = _parse_cell(cells[1], i, 1)
+        label = _parse_cell(cells[1], path, i, 1)
         if label != round(label):
             raise DataError(f"{path}: row {i} label must be an integer")
         labels.append(int(label))

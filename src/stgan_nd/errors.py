@@ -87,6 +87,13 @@ def one_of(*options: str) -> Leaf:
     return Leaf(f"one of {', '.join(options)}", lambda v: type(v) is str and v in options)
 
 
+def retired(**values) -> dict:
+    """The table of keys of an earlier version that a reader ignores: each
+    may be missing, or hold its one value, a number (never a bool)."""
+    return {f"{key}?": Leaf(repr(value), lambda v, value=value: type(v) in (int, float)
+                            and v == value) for key, value in values.items()}
+
+
 STRING = Leaf("a string", lambda v: type(v) is str)
 BOOL = Leaf("true or false", lambda v: type(v) is bool)
 TRUE = Leaf("true", lambda v: v is True)

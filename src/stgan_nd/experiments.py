@@ -3,7 +3,7 @@ variants, evaluation tables, and distance reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .evaluate import (
     tune_threshold,
 )
 from .gan import (
+    GAN_PEAKS,
+    TEST_1A_PEAKS,
     VARIANTS,
     BaselineConfig,
     GanBundle,
@@ -114,28 +116,24 @@ def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
     if variant in ("baseline_a", "test_1a"):
         net, history = train_baseline(
             prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes,
-            baseline_config, stochastic=variant == "test_1a",
+            baseline_config, peaks=TEST_1A_PEAKS if variant == "test_1a" else None,
         )
         return TrainedModel(net, None, history)
 
     if bundle is None:
-        bundle = train_gan(
-            prep.x_train, prep.y_train, prep.n_classes, gan_config, checkpoint_dir
-        )
+        bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, gan_config,
+                           checkpoint_dir)
     if variant == "test_2":
         return TrainedModel(bundle.discriminator, bundle, bundle.loss_history)
 
     # test_3: offline augmentation, then supervised retraining with
     # stochastic targets in the GAN's peak range
     augment_rng = substream(gan_config.seed, "augment")
-    x_train, y_train = augment_offline(
-        (prep.x_train, prep.y_train), bundle.generator, 0.5, gan_config, augment_rng,
-    )
-    cfg = replace(baseline_config, p_low=gan_config.stochastic_p_low,
-                  p_high=gan_config.stochastic_p_high)
+    x_train, y_train = augment_offline((prep.x_train, prep.y_train), bundle.generator, 0.5,
+                                       augment_rng)
     net, history = train_baseline(
-        x_train, y_train, prep.x_val, prep.y_val, prep.n_classes, cfg,
-        stochastic=True, initial=clone_network(bundle.discriminator),
+        x_train, y_train, prep.x_val, prep.y_val, prep.n_classes, baseline_config,
+        peaks=GAN_PEAKS, initial=clone_network(bundle.discriminator),
     )
     return TrainedModel(net, bundle, history)
 
@@ -175,10 +173,9 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
     Real sets are all samples of each trained class. Generated samples are
     inverse-standardized with ``standardizer``, the one the generator was
     trained against (``prep``'s when not given, for a generator trained on
-    ``prep``); their class conditioning draws its peaks from the default
-    ``GanConfig`` stochastic-peak range, which the generator is trained
-    with. Random samples are drawn from per-class Gaussian fits of the
-    real data.
+    ``prep``); their class conditioning draws its peaks from ``GAN_PEAKS``,
+    the range every generator is trained with. Random samples are drawn
+    from per-class Gaussian fits of the real data.
     """
     real_by_class = {
         cls: prep.raw_features[prep.raw_labels == cls]
@@ -194,7 +191,7 @@ def distance_tables(prep: PreparedData, generator: Network | None, seed: int,
         generated_by_class = {}
         for cls in range(prep.n_classes):
             n = n_generated or len(real_by_class[cls])
-            peaks = rng.uniform(GanConfig.stochastic_p_low, GanConfig.stochastic_p_high, n)
+            peaks = rng.uniform(*GAN_PEAKS, n)
             targets = D.stochastic_target_batch(np.full(n, cls), prep.n_classes, peaks)
             samples = generate_samples(generator, targets, n, rng)
             generated_by_class[cls] = standardizer.inverse(samples)

@@ -47,9 +47,22 @@ DISCRIMINATOR_DROPOUT = 0.3
 VARIANTS = ("baseline_a", "test_1a", "test_2", "test_3")
 
 
+# The paper's fixed hyperparameters: no preset or flag changes them.
+LR_G = 0.001                      # generator learning rate
+GAN_BETAS = (0.5, 0.999)          # Adam beta1 and beta2 of both adversarial nets
+DECAY_D, DECAY_G = 1e-7, 1e-6     # Adam learning-rate decay of D and G
+D_LOSS_WEIGHTS = (1.0, 1.0)       # discriminator validity and class loss weights
+GAN_PEAKS = (0.9, 1.0)            # range of the stochastic target peaks of the GAN variants
+CHECKPOINT_EVERY = 50             # epochs between periodic checkpoints
+BASELINE_LR = 0.01                # supervised learning rate
+BASELINE_BETAS = (0.9, 0.999)     # supervised Adam beta1 and beta2
+PATIENCE = 12                     # epochs without a better validation loss before stopping
+TEST_1A_PEAKS = (0.8, 1.0)        # range of test_1a's stochastic target peaks
+
+
 @dataclass
 class GanConfig:
-    """Hyperparameters of one adversarial training run.
+    """The settings of one adversarial training run that a preset or flag sets.
 
     Defaults follow the 8-class EMG-feature setup; ``uc2017`` gives the
     glove-dataset variant (more epochs, larger latent space).
@@ -59,26 +72,14 @@ class GanConfig:
     batch_size: int = setting(32, rule=integer(">= 2"))
     latent_size: int = setting(8, rule=integer(">= 1"))
     lr_d: float = setting(0.0002, rule=number("> 0"))
-    lr_g: float = setting(0.001, rule=number("> 0"))
-    adam_beta1: float = setting(0.5, rule=number("[0, 1)"))
-    adam_beta2: float = setting(0.999, rule=number("[0, 1)"))
-    decay_d: float = setting(1e-7, rule=number(">= 0"))
-    decay_g: float = setting(1e-6, rule=number(">= 0"))
     g_validity_weight: float = setting(1.3, rule=number(">= 0"))
     g_class_weight: float = setting(0.8, rule=number(">= 0"))
-    d_validity_weight: float = setting(1.0, rule=number(">= 0"))
-    d_class_weight: float = setting(1.0, rule=number(">= 0"))
-    stochastic_p_low: float = setting(0.9, rule=number("(0, 1]"))
-    stochastic_p_high: float = setting(1.0, rule=number("(0, 1]"))
-    checkpoint_every: int = setting(50, rule=integer(">= 1"))
     seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
         check_config(self)
         if self.batch_size % 2:
             raise SpecError("batch_size must be even (half real, half generated)")
-        if self.stochastic_p_low > self.stochastic_p_high:
-            raise SpecError("need p_low <= p_high")
 
     @classmethod
     def uc2017(cls, **overrides) -> "GanConfig":
@@ -90,20 +91,12 @@ class GanConfig:
 class BaselineConfig:
     """Plain supervised training of the discriminator-shaped network."""
 
-    learning_rate: float = setting(0.01, rule=number("> 0"))
     max_epochs: int = setting(300, rule=integer(">= 1"))
     batch_size: int = setting(32, rule=integer(">= 1"))
-    patience: int = setting(12, rule=integer(">= 1"))
-    p_low: float = setting(0.8, rule=number("(0, 1]"))
-    p_high: float = setting(1.0, rule=number("(0, 1]"))
-    adam_beta1: float = setting(0.9, rule=number("[0, 1)"))
-    adam_beta2: float = setting(0.999, rule=number("[0, 1)"))
     seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
         check_config(self)
-        if self.p_low > self.p_high:
-            raise SpecError("need p_low <= p_high")
 
 
 class EpochLosses(NamedTuple):
@@ -174,12 +167,12 @@ def _discriminator_n_classes(disc: Network) -> int:
     return disc.spec.output_heads[1][0]
 
 
-def _sample_generator_batch(generator, n, n_classes, config, noise_rng, layer_rng):
+def _sample_generator_batch(generator, n, n_classes, noise_rng, layer_rng):
     """Draw (z, stochastic targets), run the generator in train mode:
     the generated rows, their targets and the forward cache."""
     z = sample_noise(n, generator.spec.input_widths[0], noise_rng)
     classes = sample_class_indices(n, n_classes, noise_rng)
-    p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
+    p = noise_rng.uniform(*GAN_PEAKS, n)
     targets = stochastic_target_batch(classes, n_classes, p)
     (fake,), cache = generator.forward([z, targets], TRAIN, rng=layer_rng)
     return fake, targets, cache
@@ -204,9 +197,9 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
     n_classes = _discriminator_n_classes(disc)
 
     fake_x, fake_targets, _ = _sample_generator_batch(
-        bundle.generator, n, n_classes, config, noise_rng, layer_rng
+        bundle.generator, n, n_classes, noise_rng, layer_rng
     )
-    p = noise_rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n)
+    p = noise_rng.uniform(*GAN_PEAKS, n)
     real_targets = stochastic_target_batch(real_labels, n_classes, p)
 
     x = np.concatenate([real_x, fake_x])
@@ -216,9 +209,7 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
     (validity, class_probs), cache = disc.forward([x], TRAIN, rng=layer_rng)
     validity_loss = binary_cross_entropy(validity, validity_target)
     class_loss = categorical_cross_entropy(class_probs, class_target)
-    total = composite_loss(
-        validity_loss, class_loss, config.d_validity_weight, config.d_class_weight
-    )
+    total = composite_loss(validity_loss, class_loss, *D_LOSS_WEIGHTS)
     grads = disc.backward(cache, total.gradient)
     adam_step(bundle.adam_d, disc.flat_parameters(), grads.flat())
     return {
@@ -240,7 +231,7 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     n = config.batch_size
 
     fake_x, targets, gen_cache = _sample_generator_batch(
-        bundle.generator, n, n_classes, config, noise_rng, layer_rng
+        bundle.generator, n, n_classes, noise_rng, layer_rng
     )
     (validity, class_probs), disc_cache = disc.forward(
         [fake_x], TRAIN, rng=layer_rng, update_stats=False
@@ -270,10 +261,8 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
     """
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=int)
-    if config.stochastic_p_low <= 1.0 / n_classes:
-        raise SpecError(
-            f"stochastic_p_low {config.stochastic_p_low} must exceed 1/{n_classes}"
-        )
+    if GAN_PEAKS[0] <= 1.0 / n_classes:
+        raise SpecError(f"the lowest target peak {GAN_PEAKS[0]} must exceed 1/{n_classes}")
     n_features = x_train.shape[1]
     init_rng = substream(config.seed, "init")
     g_seed = int(init_rng.integers(2 ** 63))
@@ -283,14 +272,10 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
     bundle = GanBundle(
         generator=generator,
         discriminator=discriminator,
-        adam_g=AdamState.for_params(
-            generator.flat_parameters(), config.lr_g,
-            beta1=config.adam_beta1, beta2=config.adam_beta2, decay=config.decay_g,
-        ),
-        adam_d=AdamState.for_params(
-            discriminator.flat_parameters(), config.lr_d,
-            beta1=config.adam_beta1, beta2=config.adam_beta2, decay=config.decay_d,
-        ),
+        adam_g=AdamState.for_params(generator.flat_parameters(), LR_G, *GAN_BETAS,
+                                    decay=DECAY_G),
+        adam_d=AdamState.for_params(discriminator.flat_parameters(), config.lr_d, *GAN_BETAS,
+                                    decay=DECAY_D),
     )
 
     noise_rng = substream(config.seed, "noise")
@@ -325,7 +310,7 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
             if not np.isfinite([record.d_loss, record.g_validity, record.g_class]).all():
                 raise NumericError(f"training diverged at epoch {epoch}: {record}")
             bundle.loss_history.append(record)
-            if checkpoint_dir is not None and epoch % config.checkpoint_every == 0:
+            if checkpoint_dir is not None and epoch % CHECKPOINT_EVERY == 0:
                 for name, net, adam in (("generator", generator, bundle.adam_g),
                                         ("discriminator", discriminator, bundle.adam_d)):
                     path = checkpoint_dir / f"{name}_e{epoch:04d}.json"
@@ -362,12 +347,12 @@ def generate_samples(generator: Network, target, n: int, rng: np.random.Generato
     return out
 
 
-def augment_offline(train, generator: Network, fraction: float, config: GanConfig,
+def augment_offline(train, generator: Network, fraction: float,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Append round(fraction * n) generated rows to a (features, labels) pair.
 
     Generated rows follow the real ones and get uniformly sampled classes
-    and stochastic input targets drawn from the config range. Returns the
+    and stochastic input targets whose peaks lie in ``GAN_PEAKS``. Returns the
     augmented (features, labels) pair as new arrays.
     """
     features = np.asarray(train[0], dtype=float)
@@ -379,21 +364,21 @@ def augment_offline(train, generator: Network, fraction: float, config: GanConfi
         return features.copy(), labels.copy()
     n_classes = generator.spec.input_widths[1]
     classes = sample_class_indices(n_new, n_classes, rng)
-    p = rng.uniform(config.stochastic_p_low, config.stochastic_p_high, n_new)
+    p = rng.uniform(*GAN_PEAKS, n_new)
     targets = stochastic_target_batch(classes, n_classes, p)
     fake = generate_samples(generator, targets, n_new, rng)
     return np.concatenate([features, fake]), np.concatenate([labels, classes])
 
 
 def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: BaselineConfig, *,
-                   stochastic: bool = False, initial: Network | None = None
+                   peaks: tuple[float, float] | None = None, initial: Network | None = None
                    ) -> tuple[Network, list[SupervisedEpoch]]:
     """Supervised training of the discriminator-shaped network.
 
     Only the class head carries loss (validity weight zero). Training
-    targets are one-hot, or with ``stochastic`` stochastic vectors whose
-    peaks are drawn from the config's p range. Stops when the validation
-    loss has not improved for ``patience`` consecutive epochs and returns
+    targets are one-hot, or given ``peaks``, a (low, high) range, stochastic
+    vectors whose peaks are drawn from it. Stops when the validation
+    loss has not improved for ``PATIENCE`` consecutive epochs and returns
     a copy of the network at its best validation epoch. ``initial``
     continues from an existing network (offline-augmentation retraining),
     which it trains in place, instead of a fresh init.
@@ -404,8 +389,8 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
     y_val = np.asarray(y_val, dtype=int)
     if x_val.shape[0] == 0:
         raise SpecError("validation split is empty")
-    if stochastic and config.p_low <= 1.0 / n_classes:
-        raise SpecError(f"p_low {config.p_low} must exceed 1/{n_classes}")
+    if peaks is not None and peaks[0] <= 1.0 / n_classes:
+        raise SpecError(f"the lowest target peak {peaks[0]} must exceed 1/{n_classes}")
 
     if initial is None:
         init_rng = substream(config.seed, "init")
@@ -414,18 +399,15 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
         net = build_discriminator(x_train.shape[1], n_classes, d_seed)
     else:
         net = initial
-    optimizer = AdamState.for_params(
-        net.flat_parameters(), config.learning_rate,
-        beta1=config.adam_beta1, beta2=config.adam_beta2,
-    )
+    optimizer = AdamState.for_params(net.flat_parameters(), BASELINE_LR, *BASELINE_BETAS)
 
     noise_rng = substream(config.seed, "noise")
     layer_rng = substream(config.seed, "dropout")
     shuffle_rng = substream(config.seed, "shuffle")
 
     # targets are fixed before training; stochastic peaks are drawn once
-    if stochastic:
-        p = noise_rng.uniform(config.p_low, config.p_high, y_train.size)
+    if peaks is not None:
+        p = noise_rng.uniform(*peaks, y_train.size)
         train_targets = stochastic_target_batch(y_train, n_classes, p)
     else:
         train_targets = one_hot_batch(y_train, n_classes)
@@ -458,6 +440,6 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
                 wait = 0
             else:
                 wait += 1
-                if wait >= config.patience:
+                if wait >= PATIENCE:
                     break
     return best, history

@@ -54,14 +54,15 @@ def _write_losses(path: Path, history) -> None:
                ([epoch, *map(repr, losses)] for epoch, *losses in history))
 
 
-def write_manifest(out: Path, config: DataConfig, variants: list[str] | None = None,
+def write_manifest(out: Path, config: DataConfig, evaluated: dict | None = None,
                    command: str | None = None, **inputs) -> None:
     """``config``, the data or run configuration read, and the environment.
-    An evaluate gives the ``variants`` it evaluated, written in place of
-    ``variant``; another command its name and the ``inputs`` it read."""
-    items = asdict(config).items()
-    if variants is not None:
-        items = [("variants", variants) if k == "variant" else (k, v) for k, v in items]
+    An evaluate gives what it ``evaluated``, its variants and target GCAs,
+    written in place of ``variant``; another command its name and the
+    ``inputs`` it read."""
+    items = []
+    for key, value in asdict(config).items():
+        items += evaluated.items() if evaluated and key == "variant" else [(key, value)]
     head = {} if command is None else {COMMAND: command}
     payload = {**head, **dict(items), **inputs, ENVIRONMENT: blas.environment()}
     (out / MANIFEST).write_text(json.dumps(payload, indent=1))
@@ -185,11 +186,11 @@ def clear_evaluation(root: Path) -> None:
 
 
 def write_evaluation(root: Path, config: RunConfig, variants: list[str],
-                     results: list[dict]) -> None:
+                     target_gca: list[float], results: list[dict]) -> None:
     """An evaluate's report, manifest and accuracy table, in the published
     layout: a row per variant, a column group per tau=0 and tuned target."""
     header = ["variant"]
-    for i, tag in enumerate(["tau0"] + [f"p{target:g}" for target in config.target_gca]):
+    for i, tag in enumerate(["tau0"] + [f"p{target:g}" for target in target_gca]):
         header += [f"{tag}_class", f"{tag}_others", f"{tag}_mean_balanced",
                    f"{tag}_mean_weighted"] + [f"{tag}_tau"] * (i > 0)
     rows = []
@@ -202,4 +203,4 @@ def write_evaluation(root: Path, config: RunConfig, variants: list[str],
         rows.append(cells + [repr(result["auc"])])
     _write_csv(root / "accuracy.csv", header + ["auc"], rows)
     (root / "report.json").write_text(json.dumps(results, indent=1))
-    write_manifest(root, config, variants)
+    write_manifest(root, config, {"variants": variants, "target_gca": target_gca})

@@ -22,7 +22,7 @@ from stgan_nd.data import stochastic_target_batch
 from stgan_nd.errors import NumericError, SpecError
 from stgan_nd.evaluate import pairwise_set_distance
 from stgan_nd.experiments import distance_tables, prepare_data
-from stgan_nd.gan import GENERATOR_HIDDEN, GanConfig, generate_samples
+from stgan_nd.gan import GAN_PEAKS, GENERATOR_HIDDEN, VARIANTS, GanConfig, generate_samples
 from stgan_nd.nn import INFER_BLOCK_ROWS, AdamState, load_checkpoint, save_checkpoint
 from stgan_nd.nn.checkpoint import FORMAT_V1, FORMAT_V2
 from stgan_nd.rng import substream
@@ -220,8 +220,11 @@ def test_distances_parses_its_data_flags_only():
         assert not hasattr(args, name), name
     for command in ("train", "evaluate"):
         args = cli.build_parser().parse_args([command, *SMALL_DATA, "--out", "d"])
-        assert (args.variant, args.preset, args.target_gca) == ("test_2", "dualmyo",
-                                                                 [0.95, 0.90])
+        assert (args.variant, args.preset) == ("test_2", "dualmyo")
+    # the target GCAs are an evaluate setting, not a training one
+    assert not hasattr(cli.build_parser().parse_args(["train", "--out", "d"]), "target_gca")
+    args = cli.build_parser().parse_args(["evaluate", *SMALL_DATA, "--out", "d"])
+    assert args.target_gca == [0.95, 0.90]
 
 
 def test_train_manifest_of_a_distances_run_exits_one_before_writing(tmp_path, capsys):
@@ -244,7 +247,7 @@ def test_distances_manifest_without_its_command_exits_one_naming_the_training_ke
     edited.write_text(json.dumps(manifest))
     code, err = _error_exit(capsys, "train", "--manifest", edited, "--out", tmp_path / "x")
     assert code == 1 and err.startswith("error: ")
-    assert "lacks 'variant', 'target_gca', 'gan', 'baseline'" in err
+    assert "lacks 'variant', 'gan', 'baseline'" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -253,9 +256,10 @@ def test_train_and_evaluate_manifests_hold_their_config_and_environment_only(tmp
     assert run_cli("evaluate", *SMALL_DATA, *FAST, "--variants", "baseline_a",
                    "--out", out) == 0
     names = [f.name for f in fields(cli.RunConfig)]
+    evaluated = names.index("variant")  # the root records what it evaluated in its place
+    root_keys = names[:evaluated] + ["variants", "target_gca"] + names[evaluated + 1:]
     for path, keys in ((out / "baseline_a" / "manifest.json", names),
-                       (out / "manifest.json",
-                        ["variants" if k == "variant" else k for k in names])):
+                       (out / "manifest.json", root_keys)):
         text = path.read_text()
         manifest = json.loads(text)
         assert list(manifest) == keys + [ENVIRONMENT]
@@ -377,6 +381,36 @@ def test_evaluate_retrains_when_the_stored_manifest_differs(tmp_path):
     stamp = (reused / "test_2" / "discriminator.json").stat().st_mtime_ns
     assert run_cli("evaluate", *common, "--epochs", "2", "--out", reused) == 0
     assert (reused / "test_2" / "discriminator.json").stat().st_mtime_ns == stamp
+
+
+def test_evaluate_reuses_every_model_when_only_the_target_gca_changes(tmp_path, capsys):
+    # the target GCAs tune thresholds on a trained model; they are no part of it
+    common = ["evaluate", *GAN_SMALL, "--epochs", "3",
+              "--variants", "baseline_a,test_1a,test_2,test_3"]
+    out = tmp_path / "eval"
+    assert run_cli(*common, "--out", out) == 0
+    models = {v: (out / v / "discriminator.json").read_bytes() for v in VARIANTS}
+    capsys.readouterr()
+    assert run_cli(*common, "--target-gca", "0.8", "--out", out) == 0
+    assert "trained" not in capsys.readouterr().out
+    for variant, model in models.items():
+        assert (out / variant / "discriminator.json").read_bytes() == model, variant
+    report = json.loads((out / "report.json").read_text())
+    assert [result["targets"] for result in report] == [[0.8]] * len(VARIANTS)
+    with open(out / "accuracy.csv") as handle:
+        header = next(csv.reader(handle))
+    assert "p0.8_tau" in header and "p0.95_tau" not in header
+    assert json.loads((out / "manifest.json").read_text())["target_gca"] == [0.8]
+    # the report of reused models is the report of a fresh run
+    fresh = tmp_path / "fresh"
+    assert run_cli(*common, "--target-gca", "0.8", "--out", fresh) == 0
+    for name in ("report.json", "accuracy.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    # another training setting still retrains every variant
+    capsys.readouterr()
+    assert run_cli(*common, "--epochs", "4", "--target-gca", "0.8", "--out", out) == 0
+    printed = capsys.readouterr().out
+    assert [v for v in VARIANTS if f"{v}: trained" in printed] == list(VARIANTS)
 
 
 def test_evaluate_reuses_a_model_whose_manifest_has_the_seed_last(tmp_path):
@@ -638,26 +672,38 @@ def test_train_manifest_with_channels_and_synth_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+# the keys manifests of earlier versions hold beside the config: the fixed
+# hyperparameters, each at its default before it was fixed
+_RETIRED = {"gan": {"lr_g": 0.001, "adam_beta1": 0.5, "adam_beta2": 0.999, "decay_d": 1e-7,
+                    "decay_g": 1e-6, "d_validity_weight": 1.0, "d_class_weight": 1.0,
+                    "stochastic_p_low": 0.9, "stochastic_p_high": 1.0, "checkpoint_every": 50},
+            "baseline": {"learning_rate": 0.01, "patience": 12, "p_low": 0.8, "p_high": 1.0,
+                         "adam_beta1": 0.9, "adam_beta2": 0.999}}
+
+
 def _earlier_manifest(out: Path, real_targets_stochastic) -> dict:
-    # manifests written before the option was retired record it in "gan"
+    # manifests written before these options were retired record them, and
+    # the target GCAs of an evaluate
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "real_targets_stochastic" not in manifest["gan"]
+    assert "real_targets_stochastic" not in manifest["gan"] and "target_gca" not in manifest
+    for block, retired in _RETIRED.items():
+        assert not set(retired) & set(manifest[block]), block
+        manifest[block].update(retired)
     manifest["gan"]["real_targets_stochastic"] = real_targets_stochastic
+    manifest["target_gca"] = [0.95, 0.9]
     return manifest
 
 
 def test_earlier_manifest_replays_to_the_same_files(tmp_path):
     out = tmp_path / "run"
-    assert run_cli("train", *GAN_SMALL, "--variant", "test_2", "--epochs", "3",
+    assert run_cli("train", *GAN_SMALL, "--variant", "test_3", "--epochs", "3",
                    "--out", out) == 0
     earlier = tmp_path / "earlier.json"
     earlier.write_text(json.dumps(_earlier_manifest(out, True), indent=1))
     replay = tmp_path / "replay"
     assert run_cli("train", "--manifest", earlier, "--out", replay) == 0
-    for name in ("losses.csv", "generator.json", "discriminator.json"):
-        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
-    assert "real_targets_stochastic" not in json.loads(
-        (replay / "manifest.json").read_text())["gan"]
+    # every file, the manifest too: replay drops the keys of earlier versions
+    assert _tree(replay) == _tree(out)
 
 
 def test_earlier_manifest_with_one_hot_real_targets_exits_one(tmp_path, capsys):
@@ -888,7 +934,7 @@ def test_distances_inverts_with_the_models_standardizer(small_gan, tmp_path):
     assert not np.array_equal(model_standardizer.mean, prep.standardizer.mean)
     rng = substream(8, "distance")
     for cls, row in enumerate(rows):
-        peaks = rng.uniform(GanConfig.stochastic_p_low, GanConfig.stochastic_p_high, 30)
+        peaks = rng.uniform(*GAN_PEAKS, 30)
         targets = stochastic_target_batch(np.full(30, cls), prep.n_classes, peaks)
         generated = model_standardizer.inverse(generate_samples(generator, targets, 30, rng))
         dists = pairwise_set_distance(prep.raw_features[prep.raw_labels == cls], generated)
@@ -1112,6 +1158,14 @@ def test_unusable_standardizer_exits_one(small_gan, tmp_path, capsys, key, value
     ("synth.n_classes", 5.0),
     ("synth.samples_per_class", True), ("synth.within_class_std", float("nan")),
     ("synth.cluster_mean_scale", float("inf")), ("synth", [5, 24, 6]),
+    # keys of earlier manifests at another value than their fixed one
+    ("gan.lr_g", 0.002), ("gan.adam_beta1", 0.6), ("gan.adam_beta2", 0.99),
+    ("gan.decay_d", 0.0), ("gan.decay_g", 0.0), ("gan.d_validity_weight", 1.5),
+    ("gan.d_validity_weight", True), ("gan.d_class_weight", 0.5),
+    ("gan.stochastic_p_low", 0.8), ("gan.stochastic_p_high", 0.95),
+    ("gan.checkpoint_every", 1), ("baseline.learning_rate", 0.02), ("baseline.patience", 5),
+    ("baseline.p_low", 0.9), ("baseline.p_high", 0.95), ("baseline.adam_beta1", 0.5),
+    ("baseline.adam_beta2", 0.99),
 ], ids=str)
 def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, field, value):
     manifest = json.loads((small_gan / "manifest.json").read_text())
@@ -1123,7 +1177,7 @@ def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, 
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(manifest))
     code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
-    assert code == 1 and err.startswith("error: ")
+    assert code == 1 and err.startswith(f"error: {bad}: {field}")
     assert not (tmp_path / "x").exists()
 
 

@@ -40,6 +40,22 @@ def test_load_rejects_non_numeric_cell_with_location(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("files,read,holder,cell", [
+    ({"features.csv": "ch0,ch1,label\n1,x,0\n"}, "features.csv", "features.csv", "x"),
+    ({"manifest.csv": "path,label\ns0.csv,0\n", "s0.csv": "1.0,2.0\n3.0,y\n"},
+     "manifest.csv", "s0.csv", "y"),
+    ({"manifest.csv": "path,label\ns0.csv,z\n", "s0.csv": "1.0,2.0\n3.0,4.0\n"},
+     "manifest.csv", "manifest.csv", "z"),
+], ids=["feature-csv", "raw-recording", "manifest-label"])
+def test_a_bad_cell_error_names_its_file(tmp_path, files, read, holder, cell):
+    root = tmp_path.resolve()  # a recording's path is resolved
+    for name, text in files.items():
+        (root / name).write_text(text)
+    message = f"{root / holder}: row 1, column 1: {cell!r} is not numeric"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_dataset(root / read)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_load_rejects_non_finite_feature_cell(tmp_path, cell):
     path = tmp_path / "bad.csv"

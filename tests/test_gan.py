@@ -152,7 +152,7 @@ def test_untrained_discriminator_validity_loss_near_ln2():
     bundle = gan_module.GanBundle(
         generator=generator,
         discriminator=discriminator,
-        adam_g=AdamState.for_params(generator.flat_parameters(), config.lr_g),
+        adam_g=AdamState.for_params(generator.flat_parameters(), gan_module.LR_G),
         adam_d=AdamState.for_params(discriminator.flat_parameters(), config.lr_d),
     )
     record = train_discriminator_step(
@@ -188,9 +188,10 @@ def test_train_gan_history_and_determinism():
 
 
 def test_train_gan_rejects_low_p_range():
-    x, y = small_training_data(n_classes=2)
-    with pytest.raises(SpecError):
-        train_gan(x, y, 2, small_config(stochastic_p_low=0.4))
+    # with one class a target peak of 0.9 is not above 1/n_classes
+    x, y = small_training_data(n_classes=1)
+    with pytest.raises(SpecError, match="must exceed 1/1"):
+        train_gan(x, y, 1, small_config())
 
 
 def test_train_gan_divergence_guard(monkeypatch):
@@ -204,10 +205,10 @@ def test_train_gan_divergence_guard(monkeypatch):
         train_gan(x, y, 4, small_config())
 
 
-def test_checkpoints_written_at_cadence(tmp_path):
+def test_checkpoints_written_at_cadence(tmp_path, monkeypatch):
     x, y = small_training_data()
-    config = small_config(epochs=4, checkpoint_every=2)
-    train_gan(x, y, 4, config, checkpoint_dir=tmp_path)
+    monkeypatch.setattr(gan_module, "CHECKPOINT_EVERY", 2)
+    train_gan(x, y, 4, small_config(epochs=4), checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [
         "discriminator_e0002.json", "discriminator_e0004.json",
@@ -264,9 +265,8 @@ def test_generated_samples_do_not_collapse():
 def test_augment_offline_counts_and_flags():
     x, y = small_training_data(n_classes=4, per_class=40)
     gen = build_generator(6, 4, 3, seed=0)
-    config = small_config()
     rng = np.random.default_rng(9)
-    features, labels = augment_offline((x, y), gen, 0.5, config, rng)
+    features, labels = augment_offline((x, y), gen, 0.5, rng)
     assert len(labels) == 160 + 80
     assert features.shape == (240, 6)
     # the real rows come first and unchanged, the generated ones after them
@@ -280,15 +280,14 @@ def test_augment_offline_exact_paper_arithmetic():
     x = rng.standard_normal((462, 6))
     y = rng.integers(0, 4, 462)
     gen = build_generator(6, 4, 3, seed=1)
-    _, labels = augment_offline((x, y), gen, 0.5, small_config(), np.random.default_rng(2))
+    _, labels = augment_offline((x, y), gen, 0.5, np.random.default_rng(2))
     assert len(labels) == 693
 
 
 def test_augment_offline_fraction_zero_is_identity():
     x, y = small_training_data()
     gen = build_generator(6, 4, 3, seed=0)
-    features, labels = augment_offline((x, y), gen, 0.0, small_config(),
-                                       np.random.default_rng(1))
+    features, labels = augment_offline((x, y), gen, 0.0, np.random.default_rng(1))
     np.testing.assert_array_equal(features, x)
     np.testing.assert_array_equal(labels, y)
     assert features is not x and labels is not y
@@ -305,7 +304,7 @@ def _split_small_data():
 
 def test_baseline_early_stopping_and_restore():
     x_train, y_train, x_val, y_val = _split_small_data()
-    config = BaselineConfig(seed=0, max_epochs=200, patience=12)
+    config = BaselineConfig(seed=0, max_epochs=200)
     net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config)
     val_losses = [h[2] for h in history]
     best_epoch = int(np.argmin(val_losses)) + 1
@@ -330,7 +329,7 @@ def test_baseline_snapshots_once_per_improving_epoch(monkeypatch):
         return real_clone(net)
 
     monkeypatch.setattr(gan_module, "clone_network", spy)
-    config = BaselineConfig(seed=0, max_epochs=200, patience=12)
+    config = BaselineConfig(seed=0, max_epochs=200)
     net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config)
     val_losses = [h[2] for h in history]
     improving = [i for i, loss in enumerate(val_losses)
@@ -348,9 +347,11 @@ def test_baseline_rejects_empty_validation():
 
 def test_baseline_defaults_match_published_setup():
     config = BaselineConfig()
-    assert config.learning_rate == 0.01
-    assert config.patience == 12
-    assert (config.p_low, config.p_high) == (0.8, 1.0)
+    assert (config.max_epochs, config.batch_size) == (300, 32)
+    assert gan_module.BASELINE_LR == 0.01
+    assert gan_module.BASELINE_BETAS == (0.9, 0.999)
+    assert gan_module.PATIENCE == 12
+    assert gan_module.TEST_1A_PEAKS == (0.8, 1.0)
 
 
 def test_baseline_determinism():
@@ -365,18 +366,20 @@ def test_baseline_determinism():
 def test_gan_config_presets():
     dualmyo = GanConfig()
     assert (dualmyo.epochs, dualmyo.latent_size) == (300, 8)
-    assert (dualmyo.lr_d, dualmyo.lr_g) == (0.0002, 0.001)
+    assert (dualmyo.lr_d, gan_module.LR_G) == (0.0002, 0.001)
     assert (dualmyo.g_validity_weight, dualmyo.g_class_weight) == (1.3, 0.8)
     uc = GanConfig.uc2017()
     assert (uc.epochs, uc.latent_size) == (600, 23)
     assert uc.lr_d == 0.001
     assert (uc.g_validity_weight, uc.g_class_weight) == (1.1, 1.0)
-    assert uc.adam_beta1 == 0.5
-    assert (uc.decay_d, uc.decay_g) == (1e-7, 1e-6)
+    # the fixed hyperparameters, the same for both presets
+    assert gan_module.GAN_BETAS == (0.5, 0.999)
+    assert (gan_module.DECAY_D, gan_module.DECAY_G) == (1e-7, 1e-6)
+    assert gan_module.D_LOSS_WEIGHTS == (1.0, 1.0)
+    assert gan_module.GAN_PEAKS == (0.9, 1.0)
+    assert gan_module.CHECKPOINT_EVERY == 50
     with pytest.raises(SpecError):
         GanConfig(batch_size=7)
-    with pytest.raises(SpecError):
-        GanConfig(stochastic_p_low=0.95, stochastic_p_high=0.9)
 
 
 # ------------------------------------------------------------- BLAS pinning
