@@ -8,7 +8,7 @@ trains 80 to stay quick while still producing a usable generator.
 import numpy as np
 
 from stgan_nd.experiments import distance_tables, prepare_data
-from stgan_nd.gan import LR_G, GanConfig, generate_samples, train_gan
+from stgan_nd.gan import BATCH_SIZE, LR_G, GanConfig, generate_samples, train_gan
 from stgan_nd.synth import SynthSpec, make_synthetic_dataset
 
 EPOCHS = 80
@@ -17,10 +17,10 @@ ds = make_synthetic_dataset(SynthSpec(seed=0))
 prep = prepare_data(ds, [7], seed=1)
 print(f"training data: {len(prep.y_train)} rows, {prep.n_classes} classes")
 
-config = GanConfig(epochs=EPOCHS, seed=1)
-print(f"\ntraining the GAN for {EPOCHS} epochs (batch {config.batch_size}, "
+config = GanConfig(epochs=EPOCHS)
+print(f"\ntraining the GAN for {EPOCHS} epochs (batch {BATCH_SIZE}, "
       f"lr_D {config.lr_d}, lr_G {LR_G})")
-bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, config)
+bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, config, seed=1)
 for record in bundle.loss_history[:: max(EPOCHS // 8, 1)]:
     print(f"epoch {record.epoch:3d}: D {record.d_loss:.3f} "
           f"G-validity {record.g_validity:.3f} G-class {record.g_class:.3f}")

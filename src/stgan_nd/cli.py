@@ -55,9 +55,9 @@ from .errors import (  # noqa: E402
     check_config, integer, list_of, nullable, number, one_of, read_json, retired, setting, table,
 )
 from .gan import (  # noqa: E402
-    BASELINE_BETAS, BASELINE_LR, CHECKPOINT_EVERY, D_LOSS_WEIGHTS, DECAY_D, DECAY_G, GAN_BETAS,
-    GAN_PEAKS, LR_G, PATIENCE, TEST_1A_PEAKS, VARIANTS, BaselineConfig, GanConfig,
-    generate_samples,
+    BASELINE_BETAS, BASELINE_LR, BATCH_SIZE, CHECKPOINT_EVERY, D_LOSS_WEIGHTS, DECAY_D, DECAY_G,
+    EVEN_BATCH, GAN_BETAS, GAN_PEAKS, LR_G, PATIENCE, TEST_1A_PEAKS, VARIANTS, BaselineConfig,
+    GanConfig, generate_samples,
 )
 from .nn import INFER_BLOCK_ROWS  # noqa: E402
 from .rng import substream  # noqa: E402
@@ -102,44 +102,98 @@ class DataConfig:
             raise SpecError("--channels applies to --dataset only, not to --synth-spec")
 
 
+# the config blocks of a run, each read by the variants ``VARIANTS`` names
+_BLOCKS = {"gan": GanConfig, "baseline": BaselineConfig}
+
+
 @dataclass
 class RunConfig(DataConfig):
-    """The data and the training of one variant, as train and evaluate read them."""
+    """The data and the training of one variant, as train and evaluate read
+    them: one seed (``DataConfig``'s) and one batch size for every training
+    of the variant, and the config blocks it reads (any other may be None)."""
     variant: str = setting(rule=one_of(*VARIANTS))
-    gan: GanConfig = setting(rule=table(GanConfig))
-    baseline: BaselineConfig = setting(rule=table(BaselineConfig))
+    batch_size: int = setting(rule=EVEN_BATCH)
+    gan: GanConfig | None = setting(rule=nullable(table(GanConfig)))
+    baseline: BaselineConfig | None = setting(rule=nullable(table(BaselineConfig)))
+
+    def record(self, evaluated: dict | None = None) -> dict:
+        """The settings a manifest records and ``RunDir.matches`` compares:
+        every field but the blocks the variant does not read. An evaluate's
+        root gives what it ``evaluated``, its variants and target GCAs, to
+        record in place of ``variant``, and keeps the blocks they read."""
+        variants = evaluated["variants"] if evaluated else [self.variant]
+        read = {block for variant in variants for block in VARIANTS[variant]}
+        items = []
+        for key, value in asdict(self).items():
+            if key == "variant" and evaluated:
+                items += evaluated.items()
+            elif key not in _BLOCKS or key in read:
+                items.append((key, value))
+        return dict(items)
 
     @classmethod
     def from_manifest(cls, payload, where: str = "manifest") -> "RunConfig":
-        check(payload, _MANIFEST, where)
+        check(payload, _manifest, where)
 
         def build(config_class, values: dict):  # the config of its own fields
             return config_class(**{k: values[k] for k in table(config_class)})
+        read = VARIANTS[payload["variant"]]  # a block it does not read is left out
+        blocks = {name: build(config_class, payload[name]) if name in read else None
+                  for name, config_class in _BLOCKS.items()}
         try:
-            return build(cls, {**payload, "gan": build(GanConfig, payload["gan"]),
-                               "baseline": build(BaselineConfig, payload["baseline"]),
+            return build(cls, {**payload, **blocks, "batch_size": _batch_size(payload),
                                "synth": payload["synth"] and build(SynthSpec, payload["synth"])})
         except SpecError as exc:  # a rule across fields
             raise DataError(f"{where}: {exc}") from None
 
 
-# a manifest: the run config, the environment, which replay ignores, and keys
-# of earlier versions, which it ignores too: target_gca, an evaluate setting;
-# the fixed hyperparameters, each at its value only, so a replay never trains
-# with another value than the one recorded; gan.real_targets_stochastic, whose
-# one remaining setting is true; and baseline.stochastic, which the variant
-# overrode whatever it was
-_MANIFEST = {
-    **table(RunConfig), ENVIRONMENT + "?": ANY, COMMAND + "?": ANY, "target_gca?": TARGET_GCA,
-    "gan": {**table(GanConfig), "real_targets_stochastic?": TRUE, **retired(
+# the keys of earlier manifests that replay ignores, in each block: the fixed
+# hyperparameters, each at its value only, so a replay never trains with
+# another value than the one recorded; gan.real_targets_stochastic, whose one
+# remaining setting is true; baseline.stochastic, which the variant overrode
+# whatever it was
+_RETIRED = {
+    "gan": {"real_targets_stochastic?": TRUE, **retired(
         lr_g=LR_G, adam_beta1=GAN_BETAS[0], adam_beta2=GAN_BETAS[1], decay_d=DECAY_D,
         decay_g=DECAY_G, d_validity_weight=D_LOSS_WEIGHTS[0], d_class_weight=D_LOSS_WEIGHTS[1],
         stochastic_p_low=GAN_PEAKS[0], stochastic_p_high=GAN_PEAKS[1],
         checkpoint_every=CHECKPOINT_EVERY)},
-    "baseline": {**table(BaselineConfig), "stochastic?": BOOL, **retired(
+    "baseline": {"stochastic?": BOOL, **retired(
         learning_rate=BASELINE_LR, patience=PATIENCE, p_low=TEST_1A_PEAKS[0],
         p_high=TEST_1A_PEAKS[1], adam_beta1=BASELINE_BETAS[0], adam_beta2=BASELINE_BETAS[1])},
 }
+
+
+def _batch_size(payload: dict):
+    """The run's batch size; earlier manifests record it in each block only."""
+    blocks = [payload[name] for name in ("baseline", "gan") if type(payload.get(name)) is dict]
+    return payload.get("batch_size", next((b["batch_size"] for b in blocks
+                                           if "batch_size" in b), None))
+
+
+def _manifest(payload) -> dict:
+    """The table of a train manifest: the run config with the blocks its
+    variant reads, the environment, which replay ignores, and the keys of
+    earlier versions. Those recorded the seed and batch size in each block
+    too, and the batch size there only: a block's may hold the run's value
+    alone. A block the variant does not read may be there, and is checked;
+    target_gca, an evaluate setting, may be there too."""
+    if type(payload) is not dict:
+        return {}  # refused as no object
+    read = next((blocks for name, blocks in VARIANTS.items() if payload.get("variant") == name),
+                ())
+    batch = _batch_size(payload)  # when it is not valid, the block holding it is refused
+    earlier = {**retired(seed=payload.get("seed")), **(
+        retired(batch_size=batch) if EVEN_BATCH.ok(batch) else {"batch_size?": EVEN_BATCH})}
+    rules = {**table(RunConfig), ENVIRONMENT + "?": ANY, COMMAND + "?": ANY,
+             "target_gca?": TARGET_GCA}
+    if "batch_size" not in payload and batch is not None:
+        rules["batch_size?"] = rules.pop("batch_size")
+    for name, config_class in _BLOCKS.items():
+        del rules[name]
+        rules[name if name in read else name + "?"] = {
+            **table(config_class), **_RETIRED[name], **earlier}
+    return rules
 
 
 # argparse ``type=`` callables; argparse reports their ArgumentTypeError as
@@ -193,7 +247,7 @@ def _add_data_args(p: _Parser) -> None:
     p.add_argument("--dataset", help="feature CSV or raw-sample manifest CSV")
     p.add_argument("--synth-spec", metavar="C,M,F", type=_parse_synth_spec,
                    help="synthesize a dataset: classes,samples-per-class,features")
-    p.add_argument("--synth-seed", type=int, default=0,
+    p.add_argument("--synth-seed", type=int,
                    help="seed of the synthetic dataset itself (default 0)")
     p.add_argument("--channels", type=_parse_ints,
                    help="comma-separated channel indices of --dataset to keep")
@@ -203,12 +257,12 @@ def _add_data_args(p: _Parser) -> None:
 
 def _add_train_args(p: _Parser) -> None:
     # evaluate takes no --variant: it sets the variant of each job itself
-    p.set_defaults(variant="test_2")
+    p.set_defaults(variant=None)
     p.add_argument("--epochs", type=int, help="override training epochs")
-    p.add_argument("--batch-size", type=int, help="override batch size")
+    p.add_argument("--batch-size", type=int, help=f"rows per step (default {BATCH_SIZE})")
     p.add_argument("--latent-size", type=int, help="generator latent width")
-    p.add_argument("--preset", choices=["dualmyo", "uc2017"], default="dualmyo",
-                   help="hyperparameter preset (default %(default)s)")
+    p.add_argument("--preset", choices=["dualmyo", "uc2017"],
+                   help="hyperparameter preset (default dualmyo)")
 
 
 def build_parser() -> _Parser:
@@ -225,9 +279,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one experiment variant")
     _add_data_args(p)
     _add_train_args(p)
-    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--variant", choices=VARIANTS, help="the variant to train (default test_2)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--manifest", help="replay a previous run's manifest.json")
+    p.add_argument("--manifest", help="replay a previous run's manifest.json, "
+                                      "with none of the run's flags")
 
     p = sub.add_parser("distances", help="baseline/GAN/random distance tables")
     _add_data_args(p)
@@ -261,6 +316,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the flags of a run that train --manifest takes from the manifest instead;
+# each parses to None when absent, and those with a default get it only after
+# train --manifest has refused them
+_RUN_FLAGS = ("dataset", "synth_spec", "synth_seed", "channels", "novel_classes", "variant",
+              "epochs", "batch_size", "latent_size", "preset", "seed")
+_DEFAULTS = {"synth_seed": 0, "variant": "test_2", "preset": "dualmyo"}
+
+
+def _resolve_defaults(args) -> None:
+    if getattr(args, "manifest", None):
+        given = [f"--{name.replace('_', '-')}" for name in _RUN_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise SpecError(f"--manifest replays the run it records, so it takes no "
+                            f"{', '.join(given)}")
+    for name, default in _DEFAULTS.items():
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, default)
+    if args.seed is None:
+        args.seed = _default_seed()
+
+
 def _data_config_from_args(args, cls=DataConfig, **training) -> DataConfig:
     """The ``cls`` config of ``args``' data flags and the ``training`` settings."""
     return cls(
@@ -274,15 +351,14 @@ def _data_config_from_args(args, cls=DataConfig, **training) -> DataConfig:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    overrides = {name: getattr(args, name) for name in ("epochs", "batch_size", "latent_size")
+    overrides = {name: getattr(args, name) for name in ("epochs", "latent_size")
                  if getattr(args, name) is not None}
     preset = GanConfig.uc2017 if args.preset == "uc2017" else GanConfig
-    # the supervised runs share the epoch count, as their maximum, and the batch size
-    supervised = {"max_epochs": args.epochs, "batch_size": args.batch_size}
-    baseline = BaselineConfig(seed=args.seed,
-                              **{k: v for k, v in supervised.items() if v is not None})
-    return _data_config_from_args(args, RunConfig, variant=args.variant,
-                                  gan=preset(seed=args.seed, **overrides), baseline=baseline)
+    # the supervised runs take the epoch count as their maximum
+    baseline = BaselineConfig() if args.epochs is None else BaselineConfig(max_epochs=args.epochs)
+    batch_size = BATCH_SIZE if args.batch_size is None else args.batch_size
+    return _data_config_from_args(args, RunConfig, variant=args.variant, batch_size=batch_size,
+                                  gan=preset(**overrides), baseline=baseline)
 
 
 def _prepare(config: DataConfig):
@@ -340,9 +416,9 @@ def cmd_distances(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "distances.csv")
-    write_manifest(out, config, command="distances",
-                   model=None if generator is None else str(model.path.resolve()),
-                   generator_sha256=digest, n_generated=args.n_generated)
+    write_manifest(out, {COMMAND: "distances", **asdict(config),
+                         "model": None if generator is None else str(model.path.resolve()),
+                         "generator_sha256": digest, "n_generated": args.n_generated})
     print(f"distance table written to {out / 'distances.csv'}")
     return 0
 
@@ -442,8 +518,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed is None:
-            args.seed = _default_seed()
+        _resolve_defaults(args)
         with blas.single_thread():
             return _COMMANDS[args.command](args)
     except NumericError as exc:

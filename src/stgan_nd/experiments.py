@@ -23,6 +23,7 @@ from .evaluate import (
     tune_threshold,
 )
 from .gan import (
+    BATCH_SIZE,
     GAN_PEAKS,
     TEST_1A_PEAKS,
     VARIANTS,
@@ -96,43 +97,48 @@ class TrainedModel:
     history: list               # EpochLosses or SupervisedEpoch records
 
 
-def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig,
-                  baseline_config: BaselineConfig, checkpoint_dir=None,
+def train_variant(prep: PreparedData, variant: str, gan_config: GanConfig | None,
+                  baseline_config: BaselineConfig | None, *, seed: int,
+                  batch_size: int = BATCH_SIZE, checkpoint_dir=None,
                   bundle: GanBundle | None = None) -> TrainedModel:
-    """Train one experiment variant on prepared data.
+    """Train one experiment variant on prepared data, with one ``seed`` and
+    one ``batch_size`` for each of its trainings.
 
     baseline_a: one-hot supervised training. test_1a: supervised with
     stochastic targets. test_2: the discriminator straight out of
     adversarial training. test_3: that discriminator retrained on the
-    offline-augmented training set (+50% generated rows).
+    offline-augmented training set (+50% generated rows). A variant reads
+    only the configs ``VARIANTS`` names for it; the other may be None.
 
     ``bundle`` is a GAN already trained by ``train_gan`` on ``prep`` with
-    ``gan_config``; the GAN variants start from it instead of training
-    their own (and write no periodic checkpoints). It is left unchanged.
+    ``gan_config``, ``seed`` and ``batch_size``; the GAN variants start from
+    it instead of training their own (and write no periodic checkpoints).
+    It is left unchanged.
     """
     if variant not in VARIANTS:
-        raise SpecError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise SpecError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
+    run = {"seed": seed, "batch_size": batch_size}
 
     if variant in ("baseline_a", "test_1a"):
         net, history = train_baseline(
             prep.x_train, prep.y_train, prep.x_val, prep.y_val, prep.n_classes,
-            baseline_config, peaks=TEST_1A_PEAKS if variant == "test_1a" else None,
+            baseline_config, **run, peaks=TEST_1A_PEAKS if variant == "test_1a" else None,
         )
         return TrainedModel(net, None, history)
 
     if bundle is None:
-        bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, gan_config,
-                           checkpoint_dir)
+        bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, gan_config, **run,
+                           checkpoint_dir=checkpoint_dir)
     if variant == "test_2":
         return TrainedModel(bundle.discriminator, bundle, bundle.loss_history)
 
     # test_3: offline augmentation, then supervised retraining with
     # stochastic targets in the GAN's peak range
-    augment_rng = substream(gan_config.seed, "augment")
+    augment_rng = substream(seed, "augment")
     x_train, y_train = augment_offline((prep.x_train, prep.y_train), bundle.generator, 0.5,
                                        augment_rng)
     net, history = train_baseline(
-        x_train, y_train, prep.x_val, prep.y_val, prep.n_classes, baseline_config,
+        x_train, y_train, prep.x_val, prep.y_val, prep.n_classes, baseline_config, **run,
         peaks=GAN_PEAKS, initial=clone_network(bundle.discriminator),
     )
     return TrainedModel(net, bundle, history)

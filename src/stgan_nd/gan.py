@@ -15,7 +15,9 @@ import numpy as np
 
 from .blas import single_thread as _single_thread_blas
 from .data import one_hot_batch, stochastic_target_batch
-from .errors import NumericError, ShapeError, SpecError, check_config, integer, number, setting
+from .errors import (
+    Leaf, NumericError, ShapeError, SpecError, check, check_config, integer, number, setting,
+)
 from .nn import (
     AdamState,
     INFER,
@@ -42,9 +44,15 @@ DISCRIMINATOR_HIDDEN = 300
 GENERATOR_NOISE_STDDEV = 0.1
 DISCRIMINATOR_NOISE_STDDEV = 0.4
 DISCRIMINATOR_DROPOUT = 0.3
-# the experiment variants, trained from these configs by
-# ``experiments.train_variant``
-VARIANTS = ("baseline_a", "test_1a", "test_2", "test_3")
+# the experiment variants, trained by ``experiments.train_variant``, and
+# the config blocks each one reads: ``gan`` (a GanConfig), ``baseline``
+# (a BaselineConfig) or both
+VARIANTS = {"baseline_a": ("baseline",), "test_1a": ("baseline",),
+            "test_2": ("gan",), "test_3": ("gan", "baseline")}
+# the rows of one training step, the same for every variant of a run; a GAN
+# step takes half of them real and generates the other half
+BATCH_SIZE = 32
+EVEN_BATCH = Leaf("an even integer >= 2", lambda v: type(v) is int and v >= 2 and v % 2 == 0)
 
 
 # The paper's fixed hyperparameters: no preset or flag changes them.
@@ -62,24 +70,21 @@ TEST_1A_PEAKS = (0.8, 1.0)        # range of test_1a's stochastic target peaks
 
 @dataclass
 class GanConfig:
-    """The settings of one adversarial training run that a preset or flag sets.
+    """The settings of one adversarial training run that a preset or flag sets;
+    the run's seed and batch size are arguments of ``train_gan``.
 
     Defaults follow the 8-class EMG-feature setup; ``uc2017`` gives the
     glove-dataset variant (more epochs, larger latent space).
     """
 
     epochs: int = setting(300, rule=integer(">= 1"))
-    batch_size: int = setting(32, rule=integer(">= 2"))
     latent_size: int = setting(8, rule=integer(">= 1"))
     lr_d: float = setting(0.0002, rule=number("> 0"))
     g_validity_weight: float = setting(1.3, rule=number(">= 0"))
     g_class_weight: float = setting(0.8, rule=number(">= 0"))
-    seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
         check_config(self)
-        if self.batch_size % 2:
-            raise SpecError("batch_size must be even (half real, half generated)")
 
     @classmethod
     def uc2017(cls, **overrides) -> "GanConfig":
@@ -89,11 +94,11 @@ class GanConfig:
 
 @dataclass
 class BaselineConfig:
-    """Plain supervised training of the discriminator-shaped network."""
+    """Plain supervised training of the discriminator-shaped network: its
+    epoch limit, as ``--epochs`` sets it; the seed and batch size are
+    arguments of ``train_baseline``."""
 
     max_epochs: int = setting(300, rule=integer(">= 1"))
-    batch_size: int = setting(32, rule=integer(">= 1"))
-    seed: int = setting(0, rule=integer(">= 0"))
 
     def __post_init__(self):
         check_config(self)
@@ -178,7 +183,7 @@ def _sample_generator_batch(generator, n, n_classes, noise_rng, layer_rng):
     return fake, targets, cache
 
 
-def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
+def train_discriminator_step(bundle: GanBundle, real_batch, batch_size: int,
                              noise_rng, layer_rng) -> dict:
     """One discriminator update on half real, half generated samples.
 
@@ -189,7 +194,7 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
     real_x, real_labels = real_batch
     real_x = np.asarray(real_x, dtype=float)
     real_labels = np.asarray(real_labels, dtype=int)
-    half = config.batch_size // 2
+    half = batch_size // 2
     if real_x.shape[0] < half:
         raise ShapeError(f"need at least {half} real rows, got {real_x.shape[0]}")
     n = real_x.shape[0]
@@ -219,7 +224,7 @@ def train_discriminator_step(bundle: GanBundle, real_batch, config: GanConfig,
     }
 
 
-def train_generator_step(bundle: GanBundle, config: GanConfig,
+def train_generator_step(bundle: GanBundle, config: GanConfig, batch_size: int,
                          noise_rng, layer_rng) -> dict:
     """One generator update against the frozen discriminator.
 
@@ -228,7 +233,7 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     """
     disc = bundle.discriminator
     n_classes = _discriminator_n_classes(disc)
-    n = config.batch_size
+    n = batch_size
 
     fake_x, targets, gen_cache = _sample_generator_batch(
         bundle.generator, n, n_classes, noise_rng, layer_rng
@@ -251,20 +256,21 @@ def train_generator_step(bundle: GanBundle, config: GanConfig,
     }
 
 
-def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
-              checkpoint_dir=None) -> GanBundle:
+def train_gan(x_train, y_train, n_classes: int, config: GanConfig, *, seed: int,
+              batch_size: int = BATCH_SIZE, checkpoint_dir=None) -> GanBundle:
     """Run the full interleaved D/G training and return the trained bundle.
 
     Each epoch shuffles the training rows and consumes them in half-batches;
     every half-batch feeds one discriminator step followed by one generator
     step. Aborts with NumericError if any loss goes non-finite.
     """
+    check(batch_size, EVEN_BATCH, "batch_size", SpecError)
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=int)
     if GAN_PEAKS[0] <= 1.0 / n_classes:
         raise SpecError(f"the lowest target peak {GAN_PEAKS[0]} must exceed 1/{n_classes}")
     n_features = x_train.shape[1]
-    init_rng = substream(config.seed, "init")
+    init_rng = substream(seed, "init")
     g_seed = int(init_rng.integers(2 ** 63))
     d_seed = int(init_rng.integers(2 ** 63))
     generator = build_generator(n_features, n_classes, config.latent_size, g_seed)
@@ -278,10 +284,10 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
                                     decay=DECAY_D),
     )
 
-    noise_rng = substream(config.seed, "noise")
-    layer_rng = substream(config.seed, "dropout")
-    shuffle_rng = substream(config.seed, "shuffle")
-    half = config.batch_size // 2
+    noise_rng = substream(seed, "noise")
+    layer_rng = substream(seed, "dropout")
+    shuffle_rng = substream(seed, "shuffle")
+    half = batch_size // 2
     steps = x_train.shape[0] // half
     if steps == 0:
         raise SpecError(f"training set smaller than half a batch ({half} rows)")
@@ -298,9 +304,10 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
             for step in range(steps):
                 idx = order[step * half:(step + 1) * half]
                 d_record = train_discriminator_step(
-                    bundle, (x_train[idx], y_train[idx]), config, noise_rng, layer_rng
+                    bundle, (x_train[idx], y_train[idx]), batch_size, noise_rng, layer_rng
                 )
-                g_record = train_generator_step(bundle, config, noise_rng, layer_rng)
+                g_record = train_generator_step(bundle, config, batch_size, noise_rng,
+                                                layer_rng)
                 d_losses[step] = d_record["d_loss"]
                 g_validity[step] = g_record["g_validity"]
                 g_class[step] = g_record["g_class"]
@@ -314,7 +321,7 @@ def train_gan(x_train, y_train, n_classes: int, config: GanConfig,
                 for name, net, adam in (("generator", generator, bundle.adam_g),
                                         ("discriminator", discriminator, bundle.adam_d)):
                     path = checkpoint_dir / f"{name}_e{epoch:04d}.json"
-                    save_checkpoint(path, net, adam, rng_seed=config.seed)
+                    save_checkpoint(path, net, adam, rng_seed=seed)
     return bundle
 
 
@@ -371,6 +378,7 @@ def augment_offline(train, generator: Network, fraction: float,
 
 
 def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: BaselineConfig, *,
+                   seed: int, batch_size: int = BATCH_SIZE,
                    peaks: tuple[float, float] | None = None, initial: Network | None = None
                    ) -> tuple[Network, list[SupervisedEpoch]]:
     """Supervised training of the discriminator-shaped network.
@@ -383,6 +391,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
     continues from an existing network (offline-augmentation retraining),
     which it trains in place, instead of a fresh init.
     """
+    check(batch_size, integer(">= 1"), "batch_size", SpecError)
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train, dtype=int)
     x_val = np.asarray(x_val, dtype=float)
@@ -393,7 +402,7 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
         raise SpecError(f"the lowest target peak {peaks[0]} must exceed 1/{n_classes}")
 
     if initial is None:
-        init_rng = substream(config.seed, "init")
+        init_rng = substream(seed, "init")
         int(init_rng.integers(2 ** 63))  # generator seed slot, kept for alignment
         d_seed = int(init_rng.integers(2 ** 63))
         net = build_discriminator(x_train.shape[1], n_classes, d_seed)
@@ -401,9 +410,9 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
         net = initial
     optimizer = AdamState.for_params(net.flat_parameters(), BASELINE_LR, *BASELINE_BETAS)
 
-    noise_rng = substream(config.seed, "noise")
-    layer_rng = substream(config.seed, "dropout")
-    shuffle_rng = substream(config.seed, "shuffle")
+    noise_rng = substream(seed, "noise")
+    layer_rng = substream(seed, "dropout")
+    shuffle_rng = substream(seed, "shuffle")
 
     # targets are fixed before training; stochastic peaks are drawn once
     if peaks is not None:
@@ -421,8 +430,8 @@ def train_baseline(x_train, y_train, x_val, y_val, n_classes: int, config: Basel
         for epoch in range(1, config.max_epochs + 1):
             order = shuffle_rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
                 (_, class_probs), cache = net.forward([x_train[idx]], TRAIN, rng=layer_rng)
                 loss = categorical_cross_entropy(class_probs, train_targets[idx])
                 zero_validity = np.zeros((idx.size, 1))

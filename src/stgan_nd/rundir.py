@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import shutil
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -23,7 +22,7 @@ from .errors import DataError, check, decimal, integer, list_of, map_of, read_js
 from .nn import Network, load_checkpoint, save_checkpoint
 
 if TYPE_CHECKING:
-    from .cli import DataConfig, RunConfig
+    from .cli import RunConfig
     from .experiments import PreparedData, TrainedModel
     from .gan import GanBundle
 
@@ -54,17 +53,10 @@ def _write_losses(path: Path, history) -> None:
                ([epoch, *map(repr, losses)] for epoch, *losses in history))
 
 
-def write_manifest(out: Path, config: DataConfig, evaluated: dict | None = None,
-                   command: str | None = None, **inputs) -> None:
-    """``config``, the data or run configuration read, and the environment.
-    An evaluate gives what it ``evaluated``, its variants and target GCAs,
-    written in place of ``variant``; another command its name and the
-    ``inputs`` it read."""
-    items = []
-    for key, value in asdict(config).items():
-        items += evaluated.items() if evaluated and key == "variant" else [(key, value)]
-    head = {} if command is None else {COMMAND: command}
-    payload = {**head, **dict(items), **inputs, ENVIRONMENT: blas.environment()}
+def write_manifest(out: Path, record: dict) -> None:
+    """``record``, the settings a command read (``RunConfig.record`` for train
+    and evaluate), and the environment."""
+    payload = {**record, ENVIRONMENT: blas.environment()}
     (out / MANIFEST).write_text(json.dumps(payload, indent=1))
 
 
@@ -96,13 +88,14 @@ class RunDir:
             path.unlink()
 
     def matches(self, config: RunConfig, prep: PreparedData) -> bool:
-        """Whether this holds a model trained for ``config`` on ``prep``'s data."""
+        """Whether this holds a model trained on ``prep``'s data with the
+        settings of ``config`` its variant reads, ``config.record()``."""
         try:
             manifest, stored = (read_json(self.path / name) for name in (MANIFEST, PREPROCESSING))
             manifest.pop(ENVIRONMENT, None)
         except (AttributeError, DataError):
             return False
-        expected = json.loads(json.dumps([asdict(config), _preprocessing(prep)]))
+        expected = json.loads(json.dumps([config.record(), _preprocessing(prep)]))
         return (self.path / DISCRIMINATOR).exists() and [manifest, stored] == expected
 
     def train(self, config: RunConfig, prep: PreparedData,
@@ -116,9 +109,10 @@ class RunDir:
 
         self.path.mkdir(parents=True, exist_ok=True)
         self.clear()
-        write_manifest(self.path, config)
+        write_manifest(self.path, config.record())
         bundle, source = gan or (None, None)
         model = train_variant(prep, config.variant, config.gan, config.baseline,
+                              seed=config.seed, batch_size=config.batch_size,
                               checkpoint_dir=self.path / "checkpoints", bundle=bundle)
         (self.path / PREPROCESSING).write_text(json.dumps(_preprocessing(prep), indent=1))
         if model.bundle is None:
@@ -203,4 +197,4 @@ def write_evaluation(root: Path, config: RunConfig, variants: list[str],
         rows.append(cells + [repr(result["auc"])])
     _write_csv(root / "accuracy.csv", header + ["auc"], rows)
     (root / "report.json").write_text(json.dumps(results, indent=1))
-    write_manifest(root, config, {"variants": variants, "target_gca": target_gca})
+    write_manifest(root, config.record({"variants": variants, "target_gca": target_gca}))

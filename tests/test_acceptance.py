@@ -230,10 +230,10 @@ def _run_seed(seed):
     ds = make_synthetic_dataset(SynthSpec())
     prep = prepare_data(ds, [7], seed=seed)
     started = time.time()
-    gan_config = GanConfig(seed=seed)         # 300 epochs, batch 32
-    baseline_config = BaselineConfig(seed=seed)
-    t2 = train_variant(prep, "test_2", gan_config, baseline_config)
-    base = train_variant(prep, "baseline_a", gan_config, baseline_config)
+    gan_config = GanConfig()                  # 300 epochs; the batch size is 32
+    baseline_config = BaselineConfig()
+    t2 = train_variant(prep, "test_2", gan_config, baseline_config, seed=seed)
+    base = train_variant(prep, "baseline_a", gan_config, baseline_config, seed=seed)
     ev2 = evaluate_model(t2.network, prep, [TARGET_GCA])
     evb = evaluate_model(base.network, prep, [TARGET_GCA])
     elapsed = time.time() - started
@@ -318,7 +318,7 @@ def test_criterion_9_real_data_check():
         abs(distances.per_class[cls].baseline[0] - TABLE2_BASELINE_MEANS[cls])
         for cls in range(7)
     ]
-    base = train_variant(prep, "baseline_a", GanConfig(seed=1), BaselineConfig(seed=1))
+    base = train_variant(prep, "baseline_a", GanConfig(), BaselineConfig(), seed=1)
     ev = evaluate_model(base.network, prep, [])
     zero = ev.rows[0]
     ok = (

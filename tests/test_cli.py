@@ -80,7 +80,7 @@ def test_batch_size_reaches_supervised_training(tmp_path, monkeypatch):
     real = experiments.train_baseline
 
     def recorded(*args, **kwargs):
-        sizes.append(args[5].batch_size)  # (x, y, x_val, y_val, n_classes, config)
+        sizes.append(kwargs["batch_size"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "train_baseline", recorded)
@@ -88,7 +88,7 @@ def test_batch_size_reaches_supervised_training(tmp_path, monkeypatch):
     assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", *FAST,
                    "--batch-size", "8", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["gan"]["batch_size"] == manifest["baseline"]["batch_size"] == 8
+    assert manifest["batch_size"] == 8 and "batch_size" not in manifest["baseline"]
     assert sizes == [8]
 
 
@@ -219,8 +219,11 @@ def test_distances_parses_its_data_flags_only():
     for name in ("variant", "preset", "epochs", "batch_size", "latent_size", "target_gca"):
         assert not hasattr(args, name), name
     for command in ("train", "evaluate"):
-        args = cli.build_parser().parse_args([command, *SMALL_DATA, "--out", "d"])
-        assert (args.variant, args.preset) == ("test_2", "dualmyo")
+        # absent, they parse to None, so train --manifest can refuse each one given
+        args = cli.build_parser().parse_args([command, "--out", "d"])
+        assert (args.variant, args.preset, args.synth_seed, args.seed) == (None,) * 4
+        cli._resolve_defaults(args)
+        assert (args.variant, args.preset, args.synth_seed) == ("test_2", "dualmyo", 0)
     # the target GCAs are an evaluate setting, not a training one
     assert not hasattr(cli.build_parser().parse_args(["train", "--out", "d"]), "target_gca")
     args = cli.build_parser().parse_args(["evaluate", *SMALL_DATA, "--out", "d"])
@@ -247,26 +250,41 @@ def test_distances_manifest_without_its_command_exits_one_naming_the_training_ke
     edited.write_text(json.dumps(manifest))
     code, err = _error_exit(capsys, "train", "--manifest", edited, "--out", tmp_path / "x")
     assert code == 1 and err.startswith("error: ")
-    assert "lacks 'variant', 'gan', 'baseline'" in err
+    assert "lacks 'variant', 'batch_size'" in err
     assert not (tmp_path / "x").exists()
+
+
+# the settings of a run, then the config blocks its variant reads
+RUN_KEYS = ["dataset", "channels", "synth", "novel_classes", "seed", "variant", "batch_size"]
+BLOCKS_READ = {"baseline_a": ["baseline"], "test_1a": ["baseline"], "test_2": ["gan"],
+               "test_3": ["gan", "baseline"]}
 
 
 def test_train_and_evaluate_manifests_hold_their_config_and_environment_only(tmp_path):
     out = tmp_path / "eval"
-    assert run_cli("evaluate", *SMALL_DATA, *FAST, "--variants", "baseline_a",
+    assert run_cli("evaluate", *GAN_SMALL, "--epochs", "3", "--variants", ",".join(VARIANTS),
                    "--out", out) == 0
-    names = [f.name for f in fields(cli.RunConfig)]
-    evaluated = names.index("variant")  # the root records what it evaluated in its place
-    root_keys = names[:evaluated] + ["variants", "target_gca"] + names[evaluated + 1:]
-    for path, keys in ((out / "baseline_a" / "manifest.json", names),
-                       (out / "manifest.json", root_keys)):
+    assert [f.name for f in fields(cli.RunConfig)] == RUN_KEYS + ["gan", "baseline"]
+    # the root records what it evaluated in place of the variant
+    root_keys = RUN_KEYS[:5] + ["variants", "target_gca", "batch_size", "gan", "baseline"]
+    paths = {v: out / v / "manifest.json" for v in VARIANTS}
+    for path, keys in [(paths[v], RUN_KEYS + BLOCKS_READ[v]) for v in VARIANTS] + [
+            (out / "manifest.json", root_keys)]:
         text = path.read_text()
         manifest = json.loads(text)
-        assert list(manifest) == keys + [ENVIRONMENT]
+        assert list(manifest) == keys + [ENVIRONMENT], path
         assert text == json.dumps(manifest, indent=1)
-    replay = json.loads((out / "baseline_a" / "manifest.json").read_text())
-    config = cli.RunConfig.from_manifest(replay)
-    assert RunDir(out / "baseline_a").matches(config, _small_prep(7))
+        # one seed and one batch size, at the top level only
+        assert (manifest["seed"], manifest["batch_size"]) == (7, 8)
+        for block in ("gan", "baseline"):
+            assert not {"seed", "batch_size"} & set(manifest.get(block, {})), path
+    settable = {}
+    for variant, path in paths.items():
+        manifest = json.loads(path.read_text())
+        settable[variant] = len(RUN_KEYS) + sum(len(manifest[b]) for b in BLOCKS_READ[variant])
+        config = cli.RunConfig.from_manifest(manifest)
+        assert RunDir(out / variant).matches(config, _small_prep(7))
+    assert settable == {"baseline_a": 8, "test_1a": 8, "test_2": 12, "test_3": 13}
 
 
 def test_validation_errors_exit_one(tmp_path):
@@ -296,7 +314,6 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
                    "--epochs", "2", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 123
-    assert manifest["gan"]["seed"] == 123
 
 
 def test_generate_without_preprocessing_exits_one(tmp_path, capsys):
@@ -330,14 +347,20 @@ def test_train_manifest_lacking_a_key_exits_one(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("train", *SMALL_DATA, "--variant", "baseline_a", "--epochs", "1",
                    "--out", out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["dataset"]
     bad = tmp_path / "lacking.json"
-    bad.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert run_cli("train", "--manifest", bad, "--out", tmp_path / "x") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "dataset" in err
+    # a key of the run, and the block the variant reads; a baseline_a
+    # manifest holds no gan block, which test_2 reads
+    for key, variant in (("dataset", "baseline_a"), ("baseline", "baseline_a"),
+                         ("gan", "test_2")):
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.pop(key, None)
+        manifest["variant"] = variant
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", bad, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} lacks '{key}'"), err
+    assert not (tmp_path / "x").exists()
 
 
 def test_manifest_records_environment_and_replay_ignores_it(tmp_path):
@@ -411,6 +434,25 @@ def test_evaluate_reuses_every_model_when_only_the_target_gca_changes(tmp_path, 
     assert run_cli(*common, "--epochs", "4", "--target-gca", "0.8", "--out", out) == 0
     printed = capsys.readouterr().out
     assert [v for v in VARIANTS if f"{v}: trained" in printed] == list(VARIANTS)
+
+
+def test_evaluate_reuses_the_baselines_when_only_the_gan_settings_change(tmp_path, capsys):
+    # baseline_a and test_1a read no gan block: the latent size and the preset
+    # are no part of them
+    common = ["evaluate", *SMALL_DATA, "--seed", "7", "--batch-size", "8", "--epochs", "3",
+              "--variants", ",".join(VARIANTS)]
+    out = tmp_path / "eval"
+    assert run_cli(*common, "--latent-size", "3", "--out", out) == 0
+    models = {v: (out / v / "discriminator.json").read_bytes() for v in VARIANTS}
+    for change in (["--latent-size", "4"], ["--latent-size", "3", "--preset", "uc2017"]):
+        capsys.readouterr()
+        assert run_cli(*common, *change, "--out", out) == 0
+        printed = capsys.readouterr().out
+        assert [v for v in VARIANTS if f"{v}: trained" in printed] == ["test_2", "test_3"]
+        for variant in ("baseline_a", "test_1a"):
+            assert (out / variant / "discriminator.json").read_bytes() == models[variant]
+        gan = json.loads((out / "test_2" / "manifest.json").read_text())["gan"]
+        assert (gan["latent_size"], gan["lr_d"]) == ((4, 0.0002) if "4" in change else (3, 0.001))
 
 
 def test_evaluate_reuses_a_model_whose_manifest_has_the_seed_last(tmp_path):
@@ -509,6 +551,7 @@ def test_evaluate_root_manifest_records_the_variants_it_evaluated(tmp_path, caps
     assert run_cli(*args) == 0
     root = json.loads((out / "manifest.json").read_text())
     assert root["variants"] == ["test_1a", "baseline_a"] and "variant" not in root
+    assert "baseline" in root and "gan" not in root  # the blocks its variants read
     stamps = {}
     for variant in ("test_1a", "baseline_a"):
         manifest = json.loads((out / variant / "manifest.json").read_text())
@@ -683,27 +726,36 @@ _RETIRED = {"gan": {"lr_g": 0.001, "adam_beta1": 0.5, "adam_beta2": 0.999, "deca
 
 def _earlier_manifest(out: Path, real_targets_stochastic) -> dict:
     # manifests written before these options were retired record them, and
-    # the target GCAs of an evaluate
+    # the target GCAs of an evaluate; they hold both blocks whatever the
+    # variant, each with the run's seed and batch size, and no top-level
+    # batch size
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "real_targets_stochastic" not in manifest["gan"] and "target_gca" not in manifest
+    assert "target_gca" not in manifest
+    epochs = manifest.get("gan", {}).get("epochs") or manifest["baseline"]["max_epochs"]
+    manifest.setdefault("gan", vars(GanConfig(epochs=epochs)))
+    manifest.setdefault("baseline", {"max_epochs": epochs})
+    run = {"batch_size": manifest.pop("batch_size"), "seed": manifest["seed"]}
     for block, retired in _RETIRED.items():
         assert not set(retired) & set(manifest[block]), block
-        manifest[block].update(retired)
+        assert not {"real_targets_stochastic", *run} & set(manifest[block]), block
+        manifest[block].update({**run, **retired})
     manifest["gan"]["real_targets_stochastic"] = real_targets_stochastic
     manifest["target_gca"] = [0.95, 0.9]
     return manifest
 
 
 def test_earlier_manifest_replays_to_the_same_files(tmp_path):
-    out = tmp_path / "run"
-    assert run_cli("train", *GAN_SMALL, "--variant", "test_3", "--epochs", "3",
-                   "--out", out) == 0
-    earlier = tmp_path / "earlier.json"
-    earlier.write_text(json.dumps(_earlier_manifest(out, True), indent=1))
-    replay = tmp_path / "replay"
-    assert run_cli("train", "--manifest", earlier, "--out", replay) == 0
-    # every file, the manifest too: replay drops the keys of earlier versions
-    assert _tree(replay) == _tree(out)
+    # test_3 reads both blocks; baseline_a reads one, and ignores the gan block
+    for variant in ("test_3", "baseline_a"):
+        out = tmp_path / variant
+        assert run_cli("train", *GAN_SMALL, "--variant", variant, "--epochs", "3",
+                       "--out", out) == 0
+        earlier = tmp_path / f"{variant}-earlier.json"
+        earlier.write_text(json.dumps(_earlier_manifest(out, True), indent=1))
+        replay = tmp_path / f"{variant}-replay"
+        assert run_cli("train", "--manifest", earlier, "--out", replay) == 0
+        # every file, the manifest too: replay drops the keys of earlier versions
+        assert _tree(replay) == _tree(out), variant
 
 
 def test_earlier_manifest_with_one_hot_real_targets_exits_one(tmp_path, capsys):
@@ -1166,10 +1218,18 @@ def test_unusable_standardizer_exits_one(small_gan, tmp_path, capsys, key, value
     ("gan.checkpoint_every", 1), ("baseline.learning_rate", 0.02), ("baseline.patience", 5),
     ("baseline.p_low", 0.9), ("baseline.p_high", 0.95), ("baseline.adam_beta1", 0.5),
     ("baseline.adam_beta2", 0.99),
+    # one batch size, even; in earlier manifests each block's seed is the
+    # run's and each block's batch size the other's
+    ("batch_size", 7), ("batch_size", True), ("batch_size", 8.0),
+    ("baseline.seed", 8), ("gan.seed", 8), ("gan.seed", 7.5), ("gan.batch_size", 16),
+    ("gan.batch_size", "x"), ("baseline.batch_size", 7),
 ], ids=str)
 def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, field, value):
     manifest = json.loads((small_gan / "manifest.json").read_text())
     *parents, key = field.split(".")  # "gan.epochs" is manifest["gan"]["epochs"]
+    if parents and (parents[0] not in manifest or key in ("seed", "batch_size")):
+        # a block test_2 does not read, or a key only earlier manifests hold
+        manifest = _earlier_manifest(small_gan, True)
     node = manifest
     for parent in parents:
         node = node[parent]
@@ -1179,6 +1239,29 @@ def test_train_manifest_with_a_bad_field_exits_one(small_gan, tmp_path, capsys, 
     code, err = _error_exit(capsys, "train", "--manifest", bad, "--out", tmp_path / "x")
     assert code == 1 and err.startswith(f"error: {bad}: {field}")
     assert not (tmp_path / "x").exists()
+
+
+_RUN_FLAGS = [("--dataset", "d.csv"), ("--synth-spec", "5,24,6"), ("--synth-seed", "0"),
+              ("--channels", "0,1"), ("--novel-classes", "4"), ("--variant", "test_2"),
+              ("--epochs", "9"), ("--batch-size", "8"), ("--latent-size", "3"),
+              ("--preset", "dualmyo"), ("--seed", "7")]
+
+
+@pytest.mark.parametrize("flag,value", _RUN_FLAGS)
+def test_train_manifest_refuses_each_run_flag(small_gan, tmp_path, capsys, monkeypatch, flag,
+                                              value):
+    # a flag is refused at its default value too; the seed's environment
+    # variable alone is allowed, and the manifest's seed wins
+    monkeypatch.setenv(cli.ENV_SEED, "3")
+    manifest = small_gan / "manifest.json"
+    for given in ([flag, value], [arg for pair in _RUN_FLAGS for arg in pair]):
+        code, err = _error_exit(capsys, "train", "--manifest", manifest, *given,
+                                "--out", tmp_path / "x")
+        assert code == 1 and err.startswith("error: "), err
+        assert err.rstrip().endswith(" " + ", ".join(given[::2])), err
+        assert not (tmp_path / "x").exists()
+    assert run_cli("train", "--manifest", manifest, "--out", tmp_path / "x") == 0
+    assert (tmp_path / "x" / "losses.csv").read_bytes() == (small_gan / "losses.csv").read_bytes()
 
 
 @pytest.mark.parametrize("novel", ["9", ","])
@@ -1521,6 +1604,6 @@ def test_uc2017_preset_scores_every_held_out_row_as_novel(tmp_path):
     spec = json.loads((out / "test_2" / "generator.json").read_text())["spec"]
     assert spec["input_widths"] == [23, 19]  # the preset's latent, and 19 trained classes
     gan = json.loads((out / "test_2" / "manifest.json").read_text())["gan"]
-    assert gan == vars(GanConfig.uc2017(epochs=5, seed=1))
+    assert gan == vars(GanConfig.uc2017(epochs=5))
     assert (gan["latent_size"], gan["lr_d"]) == (23, 0.001)
     assert (gan["g_validity_weight"], gan["g_class_weight"]) == (1.1, 1.0)

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", [
     "01_network_engine.py",
     "02_data_pipeline.py",
+    "03_adversarial_training.py",
     "04_novelty_evaluation.py",
 ])
 def test_demo_exits_zero(demo, tmp_path):

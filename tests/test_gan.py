@@ -36,9 +36,11 @@ def small_training_data(n_classes=4, per_class=40, width=6, seed=0):
 
 
 def small_config(**overrides):
-    values = dict(epochs=2, batch_size=8, latent_size=3, seed=1)
-    values.update(overrides)
-    return GanConfig(**values)
+    return GanConfig(**{"epochs": 2, "latent_size": 3, **overrides})
+
+
+# the seed and batch size of the small runs
+SMALL_RUN = {"seed": 1, "batch_size": 8}
 
 
 # ------------------------------------------------------------- builders
@@ -101,7 +103,7 @@ def test_class_index_frequencies():
 def _fresh_bundle(x, y, n_classes, config):
     # one-epoch run assembles the bundle with its optimizer states
     short = GanConfig(**{**vars(config), "epochs": 1})
-    return train_gan(x, y, n_classes, short)
+    return train_gan(x, y, n_classes, short, **SMALL_RUN)
 
 
 def test_discriminator_step_leaves_generator_untouched():
@@ -111,7 +113,7 @@ def test_discriminator_step_leaves_generator_untouched():
     g_before = bundle.generator.flat_parameters().copy()
     d_before = bundle.discriminator.flat_parameters().copy()
     rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
-    train_discriminator_step(bundle, (x[:4], y[:4]), config, rng_a, rng_b)
+    train_discriminator_step(bundle, (x[:4], y[:4]), 8, rng_a, rng_b)
     np.testing.assert_array_equal(bundle.generator.flat_parameters(), g_before)
     assert not np.array_equal(bundle.discriminator.flat_parameters(), d_before)
 
@@ -122,7 +124,7 @@ def test_generator_step_leaves_discriminator_untouched():
     bundle = _fresh_bundle(x, y, 4, config)
     d_before = bundle.discriminator.flat_parameters().copy()
     g_before = bundle.generator.flat_parameters().copy()
-    record = train_generator_step(bundle, config, np.random.default_rng(0),
+    record = train_generator_step(bundle, config, 8, np.random.default_rng(0),
                                   np.random.default_rng(1))
     np.testing.assert_array_equal(bundle.discriminator.flat_parameters(), d_before)
     assert not np.array_equal(bundle.generator.flat_parameters(), g_before)
@@ -134,7 +136,7 @@ def test_generator_step_keeps_generator_batchnorm_stats_updating():
     config = small_config()
     bundle = _fresh_bundle(x, y, 4, config)
     stats_before = [bn.running_mean.copy() for bn in bundle.generator.batch_norm_layers()]
-    train_generator_step(bundle, config, np.random.default_rng(0), np.random.default_rng(1))
+    train_generator_step(bundle, config, 8, np.random.default_rng(0), np.random.default_rng(1))
     changed = [
         not np.array_equal(bn.running_mean, before)
         for bn, before in zip(bundle.generator.batch_norm_layers(), stats_before)
@@ -144,7 +146,7 @@ def test_generator_step_keeps_generator_batchnorm_stats_updating():
 
 def test_untrained_discriminator_validity_loss_near_ln2():
     x, y = small_training_data(seed=3)
-    config = small_config(batch_size=32)
+    config = small_config()
     generator = build_generator(6, 4, 3, seed=0)
     discriminator = build_discriminator(6, 4, seed=1)
     from stgan_nd.nn import AdamState
@@ -156,17 +158,16 @@ def test_untrained_discriminator_validity_loss_near_ln2():
         adam_d=AdamState.for_params(discriminator.flat_parameters(), config.lr_d),
     )
     record = train_discriminator_step(
-        bundle, (x[:16], y[:16]), config, np.random.default_rng(0), np.random.default_rng(1)
+        bundle, (x[:16], y[:16]), 32, np.random.default_rng(0), np.random.default_rng(1)
     )
     assert abs(record["d_validity"] - math.log(2.0)) < 0.15
 
 
 def test_discriminator_step_rejects_short_batches():
     x, y = small_training_data()
-    config = small_config(batch_size=32)
-    bundle = _fresh_bundle(x, y, 4, config)
+    bundle = _fresh_bundle(x, y, 4, small_config())
     with pytest.raises(ShapeError):
-        train_discriminator_step(bundle, (x[:8], y[:8]), config,
+        train_discriminator_step(bundle, (x[:8], y[:8]), 32,
                                  np.random.default_rng(0), np.random.default_rng(1))
 
 
@@ -175,8 +176,8 @@ def test_discriminator_step_rejects_short_batches():
 def test_train_gan_history_and_determinism():
     x, y = small_training_data()
     config = small_config(epochs=3)
-    a = train_gan(x, y, 4, config)
-    b = train_gan(x, y, 4, config)
+    a = train_gan(x, y, 4, config, **SMALL_RUN)
+    b = train_gan(x, y, 4, config, **SMALL_RUN)
     assert len(a.loss_history) == 3
     assert [r.epoch for r in a.loss_history] == [1, 2, 3]
     for ra, rb in zip(a.loss_history, b.loss_history):
@@ -191,24 +192,24 @@ def test_train_gan_rejects_low_p_range():
     # with one class a target peak of 0.9 is not above 1/n_classes
     x, y = small_training_data(n_classes=1)
     with pytest.raises(SpecError, match="must exceed 1/1"):
-        train_gan(x, y, 1, small_config())
+        train_gan(x, y, 1, small_config(), **SMALL_RUN)
 
 
 def test_train_gan_divergence_guard(monkeypatch):
     x, y = small_training_data()
 
-    def poisoned(bundle, batch, config, noise_rng, layer_rng):
+    def poisoned(bundle, batch, batch_size, noise_rng, layer_rng):
         return {"d_loss": float("nan"), "d_validity": 0.0, "d_class": 0.0}
 
     monkeypatch.setattr(gan_module, "train_discriminator_step", poisoned)
     with pytest.raises(NumericError, match="epoch 1"):
-        train_gan(x, y, 4, small_config())
+        train_gan(x, y, 4, small_config(), **SMALL_RUN)
 
 
 def test_checkpoints_written_at_cadence(tmp_path, monkeypatch):
     x, y = small_training_data()
     monkeypatch.setattr(gan_module, "CHECKPOINT_EVERY", 2)
-    train_gan(x, y, 4, small_config(epochs=4), checkpoint_dir=tmp_path)
+    train_gan(x, y, 4, small_config(epochs=4), **SMALL_RUN, checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [
         "discriminator_e0002.json", "discriminator_e0004.json",
@@ -253,8 +254,8 @@ def test_generated_samples_do_not_collapse():
     ds = make_synthetic_dataset(SynthSpec(n_classes=4, samples_per_class=40,
                                           n_features=6, seed=2))
     prep = prepare_data(ds, [3], seed=2)
-    bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes,
-                       small_config(epochs=10, batch_size=16))
+    bundle = train_gan(prep.x_train, prep.y_train, prep.n_classes, small_config(epochs=10),
+                       seed=1, batch_size=16)
     for cls in range(3):
         samples = generate_samples(bundle.generator, cls, 100, np.random.default_rng(cls))
         assert generation_spread(samples) > 0.0
@@ -304,8 +305,8 @@ def _split_small_data():
 
 def test_baseline_early_stopping_and_restore():
     x_train, y_train, x_val, y_val = _split_small_data()
-    config = BaselineConfig(seed=0, max_epochs=200)
-    net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config)
+    config = BaselineConfig(max_epochs=200)
+    net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config, seed=0)
     val_losses = [h[2] for h in history]
     best_epoch = int(np.argmin(val_losses)) + 1
     assert len(history) <= best_epoch + 12
@@ -329,8 +330,8 @@ def test_baseline_snapshots_once_per_improving_epoch(monkeypatch):
         return real_clone(net)
 
     monkeypatch.setattr(gan_module, "clone_network", spy)
-    config = BaselineConfig(seed=0, max_epochs=200)
-    net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config)
+    config = BaselineConfig(max_epochs=200)
+    net, history = train_baseline(x_train, y_train, x_val, y_val, 4, config, seed=0)
     val_losses = [h[2] for h in history]
     improving = [i for i, loss in enumerate(val_losses)
                  if loss < min(val_losses[:i], default=np.inf)]
@@ -342,12 +343,12 @@ def test_baseline_rejects_empty_validation():
     x, y = small_training_data()
     with pytest.raises(SpecError):
         train_baseline(x, y, np.empty((0, 6)), np.empty(0, dtype=int), 4,
-                       BaselineConfig(seed=0))
+                       BaselineConfig(), seed=0)
 
 
 def test_baseline_defaults_match_published_setup():
-    config = BaselineConfig()
-    assert (config.max_epochs, config.batch_size) == (300, 32)
+    assert BaselineConfig().max_epochs == 300
+    assert gan_module.BATCH_SIZE == 32
     assert gan_module.BASELINE_LR == 0.01
     assert gan_module.BASELINE_BETAS == (0.9, 0.999)
     assert gan_module.PATIENCE == 12
@@ -356,9 +357,9 @@ def test_baseline_defaults_match_published_setup():
 
 def test_baseline_determinism():
     x_train, y_train, x_val, y_val = _split_small_data()
-    config = BaselineConfig(seed=3, max_epochs=20)
-    a, hist_a = train_baseline(x_train, y_train, x_val, y_val, 4, config)
-    b, hist_b = train_baseline(x_train, y_train, x_val, y_val, 4, config)
+    config = BaselineConfig(max_epochs=20)
+    a, hist_a = train_baseline(x_train, y_train, x_val, y_val, 4, config, seed=3)
+    b, hist_b = train_baseline(x_train, y_train, x_val, y_val, 4, config, seed=3)
     assert hist_a == hist_b
     np.testing.assert_array_equal(a.flat_parameters(), b.flat_parameters())
 
@@ -378,8 +379,10 @@ def test_gan_config_presets():
     assert gan_module.D_LOSS_WEIGHTS == (1.0, 1.0)
     assert gan_module.GAN_PEAKS == (0.9, 1.0)
     assert gan_module.CHECKPOINT_EVERY == 50
-    with pytest.raises(SpecError):
-        GanConfig(batch_size=7)
+    x, y = small_training_data()
+    for batch_size in (7, 0, 2.0, True):  # half of a GAN batch is real, half generated
+        with pytest.raises(SpecError, match="batch_size must be an even integer >= 2"):
+            train_gan(x, y, 4, small_config(), seed=1, batch_size=batch_size)
 
 
 # ------------------------------------------------------------- BLAS pinning
@@ -417,7 +420,7 @@ def test_train_gan_runs_on_one_blas_thread(monkeypatch):
     monkeypatch.setattr(gan_module, "train_generator_step", spy)
     before = lib.get_num_threads()
     x, y = small_training_data()
-    train_gan(x, y, 4, small_config(epochs=1))
+    train_gan(x, y, 4, small_config(epochs=1), **SMALL_RUN)
     assert seen and set(seen) == {1}
     assert blas.environment()["training_blas_threads"] == 1
     assert lib.get_num_threads() == before

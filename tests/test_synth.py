@@ -3,7 +3,7 @@ import pytest
 
 from stgan_nd.errors import SpecError
 from stgan_nd.experiments import evaluate_model, prepare_data, train_variant
-from stgan_nd.gan import BaselineConfig, GanConfig
+from stgan_nd.gan import BaselineConfig
 from stgan_nd.synth import (
     SynthSpec,
     class_feature_stats,
@@ -54,9 +54,7 @@ def test_well_separated_clusters_are_easy_to_classify():
     )
     ds = make_synthetic_dataset(spec)
     prep = prepare_data(ds, [7], seed=3)
-    model = train_variant(
-        prep, "baseline_a", GanConfig(seed=3), BaselineConfig(seed=3, max_epochs=60)
-    )
+    model = train_variant(prep, "baseline_a", None, BaselineConfig(max_epochs=60), seed=3)
     evaluation = evaluate_model(model.network, prep, [])
     assert evaluation.rows[0].gca > 0.99
 
